@@ -4,9 +4,12 @@ Offline, the 2N marginal-power values of the branches at their bounds are
 sorted into a breakpoint table with precomputed per-branch currents and
 cumulative power. Online, a demand is bracketed between two consecutive
 breakpoints, branches pinned at a bound are subtracted out, and the interior
-branches are solved for the common marginal level: analytically through a
-cubic in the reference branch's sqrt-current for the square-root V-I model,
-or by bisection on the level for any strictly concave model.
+branches are solved for the common marginal level mu by one bracketed level
+solve: the closed-form root of the interior power's cubic in mu seeds
+Newton-bisection steps that never leave the segment's level window. The
+paper's three-candidate cubic in the reference branch's sqrt-current
+(solve_segment_sqrt, select_feasible_root) and a model-agnostic bisection on
+the level (solve_segment_numeric) remain as public cross-checks.
 
 At the optimum every interior branch runs at the same dP/dI (the marginal
 level mu); branches at their lower bound have a steeper affordable marginal
@@ -27,16 +30,20 @@ from .stack_model import (
     Network,
     as_equivalent_stacks,
     reduce_network,
-    validate_network,
+    validate_network,  # unused here; perfbench/spans.py wraps every name it traces
 )
 
-# Relative power-balance tolerance for accepting an interior solve.
+# Relative power-balance tolerance for accepting a solve.
 _POWER_RTOL = 1e-9
-# Slack when testing a cubic root against its sqrt-current box, relative to
-# the box scale: demands grazing a power peak make the root a tangency,
-# computable only to ~sqrt(machine eps) of the scale.
+# Relative slack at the power window's edges: equally valid summation orders
+# of the same endpoint powers differ in the last ulp.
+_EDGE_RTOL = 1e-12
+# Slack when testing a cubic candidate against its sqrt-current box, relative
+# to the box scale: a root at a tangency of the cubic (a demand at a power
+# peak) is computable only to ~sqrt(machine eps) of the scale.
 _X_FEAS_RTOL = 1e-6
-_BISECT_MAX_ITER = 200
+# Iteration cap for the level searches.
+_MAX_ITER = 200
 
 
 class PointKind(enum.Enum):
@@ -127,10 +134,10 @@ class SegmentCandidate:
 
     Feasibility must be judged on x_values (sqrt-currents): squaring can move
     a negative, infeasible x inside the current bounds. power_residual is the
-    directly summed interior power minus the effective demand; near a power
-    peak the expanded cubic cancels catastrophically and can report spurious
-    "roots" whose direct residual is far from zero, so meets_demand (residual
-    within tolerance) is part of candidate screening, not just the bounds.
+    directly summed interior power minus the effective demand; the expanded
+    cubic can cancel badly and report "roots" whose direct residual is far
+    from zero, so meets_demand (residual within tolerance) is part of
+    candidate screening, not just the bounds.
     """
 
     x_ref: float
@@ -222,15 +229,14 @@ def locate_segment(table: DispatchTable, p_req: float) -> ActiveSets:
 
     A demand equal to a breakpoint power is assigned to the segment below
     it; both neighboring segments solve to the same currents there. Raises
-    InfeasibleDemandError outside [p_min, p_max]; the window edges carry a
-    1e-12 relative slack because equally valid summation orders of the same
-    endpoint powers differ in the last ulp.
+    InfeasibleDemandError outside [p_min, p_max], up to the _EDGE_RTOL
+    slack at either edge.
     """
-    if math.isnan(p_req) or p_req < table.p_min - 1e-12 * max(1.0, abs(table.p_min)):
+    if math.isnan(p_req) or p_req < table.p_min - _EDGE_RTOL * max(1.0, abs(table.p_min)):
         raise InfeasibleDemandError(
             DispatchStatus.INFEASIBLE_LOW, p_req, table.p_min, table.p_max
         )
-    if p_req > table.p_max + 1e-12 * max(1.0, abs(table.p_max)):
+    if p_req > table.p_max + _EDGE_RTOL * max(1.0, abs(table.p_max)):
         raise InfeasibleDemandError(
             DispatchStatus.INFEASIBLE_HIGH, p_req, table.p_min, table.p_max
         )
@@ -310,24 +316,14 @@ def solve_segment_sqrt(
     c0 = sum(s.b_eq * hj ** 3 + s.a_eq * hj ** 2 for s, gj, hj in zip(sub, g, h)) - p_req_eff
 
     roots = real_roots(CubicCoefficients(c3, c2, c1, c0))
-
-    # A demand grazing the interior power peak (top of the last segment)
-    # makes the wanted root a tangency; rounding can push that pair complex
-    # so only the far simple root stays real. Recover it from the cubic's
-    # stationary points, where the residual vanishes to rounding.
-    residual_tol = _POWER_RTOL * max(1.0, abs(p_req_eff))
-    for x, _mult in real_roots(CubicCoefficients(0.0, 3.0 * c3, 2.0 * c2, c1)):
-        value = ((c3 * x + c2) * x + c1) * x + c0
-        is_new = all(abs(x - r) > 1e-6 * max(1.0, abs(x)) for r, _m in roots)
-        if abs(value) <= residual_tol and is_new:
-            roots.append((x, 2))
     if not roots:
         raise SegmentSolveError("segment cubic has no real root")
 
+    residual_tol = _POWER_RTOL * max(1.0, abs(p_req_eff))
     candidates = []
-    for x, _mult in sorted(roots):
-        x, gap = _polish_direct(sub, g, h, x, p_req_eff)
+    for x, _mult in roots:
         xs = tuple(gj * x + hj for gj, hj in zip(g, h))
+        gap = sum((s.a_eq + s.b_eq * xj) * xj * xj for s, xj in zip(sub, xs)) - p_req_eff
         candidates.append(
             SegmentCandidate(
                 x_ref=x,
@@ -338,38 +334,6 @@ def solve_segment_sqrt(
             )
         )
     return candidates
-
-
-def _polish_direct(sub, g, h, x: float, p_req_eff: float) -> tuple[float, float]:
-    # Newton steps on the per-branch (unexpanded) form sum(a*x_j^2 + b*x_j^3),
-    # which has the same roots as the expanded cubic but stays well
-    # conditioned where the expansion cancels. For candidates inside the
-    # bounds (x_j >= 0) this is exactly the physical power balance.
-    def gap(v: float) -> float:
-        total = 0.0
-        for s, gj, hj in zip(sub, g, h):
-            xj = gj * v + hj
-            total += (s.a_eq + s.b_eq * xj) * xj * xj
-        return total - p_req_eff
-
-    best_x, best_gap = x, gap(x)
-    for _ in range(3):
-        slope = sum(
-            (2.0 * s.a_eq + 3.0 * s.b_eq * (gj * x + hj)) * (gj * x + hj) * gj
-            for s, gj, hj in zip(sub, g, h)
-        )
-        if slope == 0.0 or not math.isfinite(slope):
-            break
-        step = gap(x) / slope
-        if x - step == x:
-            break
-        x -= step
-        g_now = gap(x)
-        if abs(g_now) < abs(best_gap):
-            best_x, best_gap = x, g_now
-        else:
-            break
-    return best_x, best_gap
 
 
 def select_feasible_root(
@@ -433,7 +397,7 @@ def solve_segment_numeric(
     # tolerance alone would leave level errors that show up as more than
     # 1e-6 A on large branches.
     mu = 0.5 * (lo + hi)
-    for _ in range(_BISECT_MAX_ITER):
+    for _ in range(_MAX_ITER):
         mu = 0.5 * (lo + hi)
         if mu == lo or mu == hi:
             break
@@ -445,6 +409,48 @@ def solve_segment_numeric(
     if abs(sum(s.power(i) for s, i in zip(sub, currents)) - p_req_eff) > tol:
         raise SegmentSolveError("segment bisection failed to meet the demand")
     return currents
+
+
+def _solve_level(sub: Sequence[EquivalentStack], p_req_eff: float, lo: float, hi: float) -> float:
+    # Common marginal level of the interior branches sub, inside the segment's
+    # window [lo, hi]. With x_j = u_j*mu + v_j the interior power is a cubic
+    # in mu; its root inside the window seeds Newton steps on the unexpanded
+    # per-branch sum, whose slope is 2*mu*sum(u_j*x_j). Power falls as mu
+    # rises, so every residual sign narrows the bracket, and a step that
+    # would leave it (or a zero slope) bisects instead.
+    u = [1.0 / (1.5 * s.b_eq) for s in sub]
+    v = [-s.a_eq * uj for s, uj in zip(sub, u)]
+    c3 = c2 = c1 = 0.0
+    c0 = -p_req_eff
+    for s, uj, vj in zip(sub, u, v):
+        a, b = s.a_eq, s.b_eq
+        c3 += b * uj ** 3
+        c2 += uj * uj * (a + 3.0 * b * vj)
+        c1 += uj * vj * (2.0 * a + 3.0 * b * vj)
+        c0 += vj * vj * (a + b * vj)
+
+    roots = real_roots(CubicCoefficients(c3, c2, c1, c0))
+    mu = next((r for r, _m in roots if lo <= r <= hi), 0.5 * (lo + hi))
+    for _ in range(_MAX_ITER):
+        gap, slope = -p_req_eff, 0.0
+        for s, uj, vj in zip(sub, u, v):
+            x = uj * mu + vj
+            gap += (s.a_eq + s.b_eq * x) * x * x
+            slope += uj * x
+        slope *= 2.0 * mu
+        if gap > 0.0:
+            lo = mu
+        else:
+            hi = mu
+        nxt = mu - gap / slope if slope else math.nan
+        if nxt == mu:
+            break
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+            if nxt == lo or nxt == hi:
+                break
+        mu = nxt
+    return mu
 
 
 def dispatch_table(table: DispatchTable, p_req: float) -> DispatchResult:
@@ -482,15 +488,10 @@ def dispatch_table(table: DispatchTable, p_req: float) -> DispatchResult:
 
     if sets.interior:
         order = sorted(sets.interior)
-        candidates = solve_segment_sqrt(stacks, order, sets.p_req_eff)
-        chosen = select_feasible_root(candidates, stacks, order)
-        first = stacks[order[0]]
-        mu = first.a_eq + 1.5 * first.b_eq * chosen.x_values[0]
-        # The true level lies inside the segment's window; snap roundoff
-        # excursions (worst at peak-grazing tangencies) back inside.
-        mu = min(max(mu, sets.mu_low), sets.mu_high)
-        for j, i in zip(order, chosen.currents):
-            currents[j] = min(max(i, stacks[j].i_lb), stacks[j].i_ub_eff)
+        sub = [stacks[j] for j in order]
+        mu = _solve_level(sub, sets.p_req_eff, sets.mu_low, sets.mu_high)
+        for j in order:
+            currents[j] = stacks[j].inverse_marginal(mu)
     else:
         # Flat segment: every branch pinned; any level in the window is
         # optimal and mu_low keeps all multipliers nonnegative.
@@ -514,9 +515,9 @@ def dispatch_table(table: DispatchTable, p_req: float) -> DispatchResult:
 
 
 def dispatch(network: Network | Sequence[EquivalentStack], p_req: float) -> DispatchResult:
-    """Validate, reduce, build the table, and solve one demand."""
+    """Validate and reduce (in one pass), build the table, and solve one demand."""
     if isinstance(network, Network):
-        stacks = reduce_network(validate_network(network))
+        stacks = reduce_network(network)
     else:
         stacks = tuple(network)
     return dispatch_table(build_table(stacks), p_req)

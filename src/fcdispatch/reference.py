@@ -15,11 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dispatch import DispatchResult, DispatchStatus
+from .dispatch import _EDGE_RTOL, _MAX_ITER, _POWER_RTOL, DispatchResult, DispatchStatus
 from .stack_model import EquivalentStack, Network, as_equivalent_stacks
-
-_POWER_RTOL = 1e-9
-_MAX_ITER = 200
 
 
 class OracleMethod(enum.Enum):
@@ -65,12 +62,10 @@ def lambda_bisection(
 
     p_min = total_power(mu_hi)
     p_max = total_power(mu_lo)
-    # Edges carry a 1e-12 relative slack: equally valid summation orders of
-    # the same endpoint powers differ in the last ulp.
     if (
         math.isnan(p_req)
-        or p_req < p_min - 1e-12 * max(1.0, abs(p_min))
-        or p_req > p_max + 1e-12 * max(1.0, abs(p_max))
+        or p_req < p_min - _EDGE_RTOL * max(1.0, abs(p_min))
+        or p_req > p_max + _EDGE_RTOL * max(1.0, abs(p_max))
     ):
         raise ValueError(
             f"demand {p_req} W outside obtainable range [{p_min}, {p_max}] W"

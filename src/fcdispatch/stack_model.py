@@ -152,10 +152,7 @@ def reduce_branch(branch: BranchSpec, index: int | None = None) -> EquivalentSta
 
 def validate_network(network: Network) -> Network:
     """Check every invariant, naming the offending branch/stack on failure."""
-    if not network.branches:
-        raise NetworkValidationError("network has no branches")
-    for j, branch in enumerate(network.branches):
-        reduce_branch(branch, index=j)
+    reduce_network(network)
     return network
 
 

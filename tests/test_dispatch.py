@@ -368,6 +368,21 @@ def test_dispatch_reduction_commutes(bench30_network, bench30_stacks):
     assert direct.total_current == reduced.total_current
 
 
+def test_dispatch_reduces_each_branch_once(bench30_network, monkeypatch):
+    from fcdispatch import stack_model
+
+    calls = []
+    original = stack_model.reduce_branch
+
+    def counting(branch, index=None):
+        calls.append(index)
+        return original(branch, index)
+
+    monkeypatch.setattr(stack_model, "reduce_branch", counting)
+    dispatch(bench30_network, 75000.0)
+    assert len(calls) == len(bench30_network.branches) == 15
+
+
 def test_dispatch_branch_order_permutation(bench3_network):
     perm = [2, 0, 1]
     shuffled = Network(branches=tuple(bench3_network.branches[j] for j in perm))

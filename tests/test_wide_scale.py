@@ -1,0 +1,108 @@
+"""Property test over coefficients far outside the paper's parameter ranges.
+
+Branches are single stacks with a in {0, 1e-3, U(30, 60), 1e4},
+|b| = 10**U(-4, 1), phi in U(0.01, 1) and i_lb = U(0, 0.5) * peak current;
+20% have zero width, 20% no upper bound, and the rest
+i_ub = i_lb + U(0, 1.5) * peak. Some networks repeat one branch exactly.
+Each network is solved at every breakpoint power, at random interior
+demands, and at the window edges p_max(1 - 1e-12), p_max(1 - 1e-9) and
+p_min(1 + 1e-9).
+
+Agreement with lambda_bisection is not asserted here: close to p_max the
+problem is ill-conditioned enough that the oracle's own bisection misses
+float resolution. The paper-range oracle tests guard agreement.
+"""
+
+import math
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from fcdispatch import (
+    BranchSpec,
+    DispatchStatus,
+    Network,
+    SqrtStackParams,
+    build_table,
+    dispatch_table,
+    effective_upper_bound,
+    reduce_network,
+    verify_kkt,
+)
+
+unit = st.floats(0.0, 1.0)
+
+
+@st.composite
+def wide_branch(draw) -> BranchSpec:
+    a = draw(st.sampled_from([0.0, 1e-3, None, 1e4]))
+    if a is None:
+        a = 30.0 + 30.0 * draw(unit)
+    b = -(10.0 ** (-4.0 + 5.0 * draw(unit)))
+    phi = 0.01 + 0.99 * draw(unit)
+    peak = effective_upper_bound(phi * a, phi * b, math.inf)
+    i_lb = 0.5 * draw(unit) * peak
+    kind = draw(st.sampled_from(["zero", "inf", "finite", "finite", "finite"]))
+    if kind == "zero":
+        i_ub = i_lb
+    elif kind == "inf":
+        i_ub = math.inf
+    else:
+        i_ub = i_lb + 1.5 * draw(unit) * peak
+    return BranchSpec(stacks=(SqrtStackParams(a=a, b=b, phi=phi),), i_lb=i_lb, i_ub=i_ub)
+
+
+@st.composite
+def wide_case(draw) -> tuple[tuple[BranchSpec, ...], tuple[float, ...]]:
+    """A network's branches plus random demands inside its power window."""
+    branches = draw(st.lists(wide_branch(), min_size=1, max_size=8))
+    if draw(unit) < 0.3:
+        twin = draw(st.sampled_from(branches))
+        branches += [twin] * draw(st.integers(1, 3))
+    table = build_table(reduce_network(Network(branches=tuple(branches))))
+    span = table.p_max - table.p_min
+    demands = tuple(table.p_min + draw(unit) * span for _ in range(draw(st.integers(0, 3))))
+    return tuple(branches), demands
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(case=wide_case())
+@example(
+    case=(
+        (
+            BranchSpec(
+                stacks=(
+                    SqrtStackParams(
+                        a=1e4, b=-0.00035078460462560613, phi=0.599767010796046
+                    ),
+                ),
+                i_lb=88028738715393.44,
+                i_ub=312859079203784.4,
+            ),
+        ),
+        (6.915365471193585e17,),
+    )
+)
+def test_wide_scale_feasible_demands_solve(case):
+    branches, demands = case
+    stacks = reduce_network(Network(branches=branches))
+    table = build_table(stacks)
+    edges = (
+        table.p_max * (1.0 - 1e-12),
+        table.p_max * (1.0 - 1e-9),
+        table.p_min * (1.0 + 1e-9),
+    )
+    breakpoints = tuple(pt.cumulative_power for pt in table.points)
+    for p in demands + breakpoints + edges:
+        if not table.p_min <= p <= table.p_max:
+            continue
+        result = dispatch_table(table, p)
+        assert result.status is DispatchStatus.OPTIMAL
+        assert verify_kkt(result, stacks).ok
+        assert abs(result.total_power - p) <= 1e-9 * max(1.0, abs(p))
