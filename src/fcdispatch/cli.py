@@ -57,7 +57,7 @@ def _cmd_plan(args) -> int:
             f"{pt.branch_index + 1:>12}",
             f"{pt.kind.value:>12}",
             f"{pt.cumulative_power:>12.3f}",
-        ] + [f"{i:>12.4f}" for i in pt.snapshot_currents]
+        ] + [f"{i:>12.4f}" for i in table.currents_at(pt.mu)]
         rows.append(" ".join(cells))
     _emit("\n".join(rows) + "\n", args.output)
     return 0
@@ -94,17 +94,17 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    network = _load_network(args.config)
+    stacks = reduce_network(_load_network(args.config))
 
     t0 = time.perf_counter()
-    result = dispatch(network, args.power)
+    result = dispatch(stacks, args.power)
     t_dispatch = time.perf_counter() - t0
     if result.status is not DispatchStatus.OPTIMAL:
         print("Required power cannot be obtained", file=sys.stderr)
         return 3
 
     t0 = time.perf_counter()
-    oracle = lambda_bisection(network, args.power)
+    oracle = lambda_bisection(stacks, args.power)
     t_oracle = time.perf_counter() - t0
     report = compare(result, oracle, _VALIDATE_TOL_CURRENT)
 
@@ -118,8 +118,7 @@ def _cmd_validate(args) -> int:
         lines.append(f"  branch {j + 1}: delta {d:+.3e} A")
 
     grid_ok = True
-    if len(network.branches) <= 3:
-        stacks = reduce_network(network)
+    if len(stacks) <= 3:
         spacing = sum(
             (s.i_ub_eff - s.i_lb) / (_VALIDATE_GRID_POINTS - 1) for s in stacks[:-1]
         )

@@ -1,8 +1,8 @@
 """Minimum-current dispatch via an observable-point table and KKT active sets.
 
 Offline, the 2N marginal-power values of the branches at their bounds are
-sorted into a breakpoint table with precomputed per-branch currents and
-cumulative power. Online, a demand is bracketed between two consecutive
+sorted into a breakpoint table of levels and cumulative power (currents
+follow from the level). Online, a demand is bracketed between two consecutive
 breakpoints, branches pinned at a bound are subtracted out, and the interior
 branches are solved for the common marginal level mu by one bracketed level
 solve: the closed-form root of the interior power's cubic in mu seeds
@@ -28,6 +28,7 @@ from .poly_roots import CubicCoefficients, real_roots
 from .stack_model import (
     EquivalentStack,
     Network,
+    NetworkValidationError,
     as_equivalent_stacks,
     reduce_network,
     validate_network,  # unused here; perfbench/spans.py wraps every name it traces
@@ -78,14 +79,13 @@ class SegmentSolveError(RuntimeError):
 class ObservablePoint:
     """Breakpoint where one branch enters or leaves a bound.
 
-    mu is that branch's dP/dI at the bound; snapshot_currents holds every
-    branch's current when the network runs exactly at this level.
+    mu is that branch's dP/dI at the bound; cumulative_power is the network
+    power when every branch runs at this level (DispatchTable.currents_at).
     """
 
     mu: float
     branch_index: int
     kind: PointKind
-    snapshot_currents: tuple[float, ...]
     cumulative_power: float
 
 
@@ -97,6 +97,10 @@ class DispatchTable:
     points: tuple[ObservablePoint, ...]
     p_min: float
     p_max: float
+
+    def currents_at(self, mu: float) -> tuple[float, ...]:
+        """Every branch's current when the network runs at marginal level mu."""
+        return tuple(_current_at_level(s, mu) for s in self.stacks)
 
 
 @dataclass(frozen=True)
@@ -182,28 +186,26 @@ def build_table(stacks: Sequence[EquivalentStack]) -> DispatchTable:
     index ascending) so equal-level ties are deterministic.
     """
     stacks = tuple(stacks)
+    if not stacks:
+        raise NetworkValidationError("network has no branches")
     raw = []
     for j, s in enumerate(stacks):
         raw.append((s.marginal_power(s.i_lb), j, PointKind.LOWER_BOUND))
         raw.append((s.marginal_power(s.i_ub_eff), j, PointKind.UPPER_BOUND))
     raw.sort(key=lambda t: (-t[0], t[2] is not PointKind.LOWER_BOUND, t[1]))
 
-    points = []
-    for mu, j, kind in raw:
-        snapshot = tuple(_current_at_level(s, mu) for s in stacks)
-        cumulative = sum(s.power(i) for s, i in zip(stacks, snapshot))
-        points.append(
-            ObservablePoint(
-                mu=mu,
-                branch_index=j,
-                kind=kind,
-                snapshot_currents=snapshot,
-                cumulative_power=cumulative,
-            )
+    points = tuple(
+        ObservablePoint(
+            mu=mu,
+            branch_index=j,
+            kind=kind,
+            cumulative_power=sum(s.power(_current_at_level(s, mu)) for s in stacks),
         )
+        for mu, j, kind in raw
+    )
     return DispatchTable(
         stacks=stacks,
-        points=tuple(points),
+        points=points,
         p_min=points[0].cumulative_power,
         p_max=points[-1].cumulative_power,
     )
@@ -462,43 +464,33 @@ def dispatch_table(table: DispatchTable, p_req: float) -> DispatchResult:
             status=err.status, p_req=p_req, feasible_range=err.feasible_range
         )
 
-    # Demands sitting on a breakpoint take its precomputed snapshot: exact,
-    # and well defined even at the degenerate top point where every branch
-    # peaks and the interior solve is a tangency.
-    for pt in table.points:
-        if abs(pt.cumulative_power - p_req) <= _POWER_RTOL * max(1.0, abs(p_req)):
-            psets = _classify(table, mu_high=pt.mu, mu_low=pt.mu, p_req=p_req)
-            return DispatchResult(
-                status=DispatchStatus.OPTIMAL,
-                p_req=p_req,
-                feasible_range=(table.p_min, table.p_max),
-                currents=pt.snapshot_currents,
-                total_current=sum(pt.snapshot_currents),
-                total_power=pt.cumulative_power,
-                mu=pt.mu,
-                sets=psets,
-            )
-
+    # A demand sitting on a breakpoint runs at that point's level: exact, and
+    # well defined even at the degenerate top point where every branch peaks
+    # and the interior solve is a tangency.
     stacks = table.stacks
-    currents = [0.0] * len(stacks)
-    for j in sets.at_lb:
-        currents[j] = stacks[j].i_lb
-    for j in sets.at_ub:
-        currents[j] = stacks[j].i_ub_eff
-
-    if sets.interior:
-        order = sorted(sets.interior)
-        sub = [stacks[j] for j in order]
+    tol = _POWER_RTOL * max(1.0, abs(p_req))
+    hit = next((pt for pt in table.points if abs(pt.cumulative_power - p_req) <= tol), None)
+    if hit is not None:
+        mu = hit.mu
+        sets = _classify(table, mu_high=mu, mu_low=mu, p_req=p_req)
+    elif sets.interior:
+        sub = [stacks[j] for j in sorted(sets.interior)]
         mu = _solve_level(sub, sets.p_req_eff, sets.mu_low, sets.mu_high)
-        for j in order:
-            currents[j] = stacks[j].inverse_marginal(mu)
     else:
         # Flat segment: every branch pinned; any level in the window is
         # optimal and mu_low keeps all multipliers nonnegative.
         mu = sets.mu_low
 
+    currents = [0.0] * len(stacks)
+    for j in sets.at_lb:
+        currents[j] = stacks[j].i_lb
+    for j in sets.at_ub:
+        currents[j] = stacks[j].i_ub_eff
+    for j in sets.interior:
+        currents[j] = stacks[j].inverse_marginal(mu)
+
     total_power = sum(s.power(i) for s, i in zip(stacks, currents))
-    if abs(total_power - p_req) > _POWER_RTOL * max(1.0, abs(p_req)):
+    if abs(total_power - p_req) > tol:
         raise SegmentSolveError(
             f"power balance violated: got {total_power} W for demand {p_req} W"
         )

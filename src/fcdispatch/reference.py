@@ -11,12 +11,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .dispatch import _EDGE_RTOL, _MAX_ITER, _POWER_RTOL, DispatchResult, DispatchStatus
 from .stack_model import EquivalentStack, Network, as_equivalent_stacks
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class OracleMethod(enum.Enum):
@@ -99,6 +100,8 @@ def _solve_last_branch(
 ) -> np.ndarray:
     # Vectorized bisection for P(i) = target on [i_lb, i_ub_eff], where P is
     # strictly increasing below the power peak.
+    import numpy as np
+
     lo = np.full_like(targets, s.i_lb)
     hi = np.full_like(targets, s.i_ub_eff)
     for _ in range(iters):
@@ -119,6 +122,8 @@ def grid_bruteforce(
     optimality gap is bounded by the grid spacing. Raises ValueError when no
     grid point is feasible.
     """
+    import numpy as np
+
     stacks = as_equivalent_stacks(network)
     n = len(stacks)
     if n > 3:

@@ -19,6 +19,17 @@ BENCH3_ROWS = [
     (33.847, -0.5976, 6.646, 236.4155),
 ]
 
+# Every branch's current at each of the 3-branch benchmark's six breakpoint
+# levels, computed independently of the table.
+BENCH3_SNAPSHOTS = [
+    (2.103, 0.0, 6.646),
+    (15.909662698141412, 0.0, 6.646),
+    (68.64494783740078, 100.09348913117704, 6.646),
+    (106.8127, 218.3810843780075, 49.37534894636393),
+    (106.8127, 325.6562, 101.46423778636519),
+    (106.8127, 325.6562, 236.4155),
+]
+
 # Thirty-stack benchmark network: 15 branches, phi = 0.8, 0.1 <= I <= inf.
 BENCH30_ROWS = [
     [(49.25, -0.25), (49.302, -0.302)],
@@ -93,6 +104,22 @@ def power_range(network: Network) -> tuple[float, float]:
         sum(s.power(s.i_lb) for s in stacks),
         sum(s.power(s.i_ub_eff) for s in stacks),
     )
+
+
+@pytest.fixture()
+def reduce_branch_calls(monkeypatch) -> list:
+    """Branch indices passed to stack_model.reduce_branch during the test."""
+    from fcdispatch import stack_model
+
+    calls = []
+    original = stack_model.reduce_branch
+
+    def counting(branch, index=None):
+        calls.append(index)
+        return original(branch, index)
+
+    monkeypatch.setattr(stack_model, "reduce_branch", counting)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from fcdispatch import dispatch
 from fcdispatch.cli import main
+
+from conftest import BENCH3_SNAPSHOTS
 
 
 @pytest.fixture()
@@ -39,6 +45,8 @@ def test_plan_lists_six_points(capsys, bench3_config):
     last = lines[6].split()
     assert float(last[1]) == pytest.approx(20.064, abs=1e-3)
     assert float(last[4]) == pytest.approx(19206.708, abs=1e-3)
+    for line, snap in zip(lines[1:], BENCH3_SNAPSHOTS):
+        assert line.split()[5:] == [f"{i:.4f}" for i in snap]
 
 
 def test_plan_single_branch(capsys, tmp_path):
@@ -199,6 +207,13 @@ def test_validate_corrupted_dispatch_exits_4(capsys, bench3_config, monkeypatch)
     assert "result: FAIL" in out
 
 
+def test_validate_reduces_the_network_once(capsys, bench3_config, reduce_branch_calls):
+    code, _, _ = run_cli(capsys, "validate", bench3_config, "--power", "8000")
+    assert code == 0
+    # Three branches: once while parsing the config, once for every solver.
+    assert len(reduce_branch_calls) == 6
+
+
 def test_validate_infeasible_exits_3(capsys, bench3_config):
     code, _, err = run_cli(capsys, "validate", bench3_config, "--power", "50")
     assert code == 3
@@ -229,3 +244,14 @@ def test_repeated_invocations_are_byte_identical(capsys, bench3_config):
         out_b = capsys.readouterr().out
         assert code_a == code_b == 0
         assert out_a == out_b
+
+
+def test_cli_import_does_not_load_numpy():
+    # A fresh interpreter: this test session has numpy loaded already.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "import fcdispatch.cli, sys; sys.exit('numpy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path}
+    )
+    assert done.returncode == 0

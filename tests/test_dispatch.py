@@ -7,6 +7,7 @@ from fcdispatch import (
     DispatchStatus,
     Network,
     InfeasibleDemandError,
+    NetworkValidationError,
     PointKind,
     SegmentSolveError,
     build_table,
@@ -22,7 +23,7 @@ from fcdispatch import (
     verify_kkt,
 )
 
-from conftest import make_random_network, power_range
+from conftest import BENCH3_SNAPSHOTS, make_random_network, power_range
 
 # Independently computed breakpoints of the 3-branch benchmark network
 # (direct evaluation of the marginal at each bound plus power sums).
@@ -41,14 +42,6 @@ BENCH3_POWERS = [
     12037.033465307482,
     16200.563134475346,
     19206.708322827828,
-]
-BENCH3_SNAPSHOTS = [
-    (2.103, 0.0, 6.646),
-    (15.909662698141412, 0.0, 6.646),
-    (68.64494783740078, 100.09348913117704, 6.646),
-    (106.8127, 218.3810843780075, 49.37534894636393),
-    (106.8127, 325.6562, 101.46423778636519),
-    (106.8127, 325.6562, 236.4155),
 ]
 
 # Unique equal-marginal optimum of the 15-branch benchmark at 75 kW,
@@ -80,7 +73,7 @@ def test_table_breakpoints_match_direct_evaluation(bench3_stacks):
     for pt, mu, p, snap in zip(table.points, BENCH3_LEVELS, BENCH3_POWERS, BENCH3_SNAPSHOTS):
         assert pt.mu == pytest.approx(mu, rel=1e-12)
         assert pt.cumulative_power == pytest.approx(p, rel=1e-12)
-        assert pt.snapshot_currents == pytest.approx(snap, rel=1e-9, abs=1e-12)
+        assert table.currents_at(pt.mu) == pytest.approx(snap, rel=1e-9, abs=1e-12)
 
 
 def test_table_ordering_and_kinds(bench3_stacks):
@@ -98,7 +91,7 @@ def test_table_ordering_and_kinds(bench3_stacks):
         s = bench3_stacks[pt.branch_index]
         at = s.i_lb if pt.kind is PointKind.LOWER_BOUND else s.i_ub_eff
         assert pt.mu == s.marginal_power(at)
-        assert pt.snapshot_currents[pt.branch_index] == at
+        assert table.currents_at(pt.mu)[pt.branch_index] == at
 
 
 def test_table_single_branch(bench3_stacks):
@@ -353,12 +346,28 @@ def test_dispatch_thirty_stack_benchmark(bench30_network):
     assert result.total_power == pytest.approx(75000.0, rel=1e-9)
 
 
-def test_dispatch_exactly_at_breakpoint(bench3_network, bench3_stacks):
-    table = build_table(bench3_stacks)
-    for pt in table.points:
-        result = dispatch(bench3_network, pt.cumulative_power)
-        assert result.status is DispatchStatus.OPTIMAL
-        assert result.currents == pytest.approx(pt.snapshot_currents, rel=1e-9, abs=1e-9)
+def test_dispatch_exactly_at_breakpoint(
+    bench3_network, bench3_stacks, bench30_network, bench30_stacks
+):
+    for network, stacks in ((bench3_network, bench3_stacks), (bench30_network, bench30_stacks)):
+        table = build_table(stacks)
+        for pt in table.points:
+            p = pt.cumulative_power
+            result = dispatch(network, p)
+            assert result.status is DispatchStatus.OPTIMAL
+            # A demand runs at the level of the first point within the power
+            # tolerance; bench30's top points all lie within it of each other.
+            hit = next(q for q in table.points if abs(q.cumulative_power - p) <= 1e-9 * p)
+            assert result.mu == hit.mu
+            assert result.currents == table.currents_at(hit.mu)
+            assert result.total_power == hit.cumulative_power
+
+
+def test_empty_network_is_rejected():
+    with pytest.raises(NetworkValidationError, match="network has no branches"):
+        build_table(())
+    with pytest.raises(NetworkValidationError, match="network has no branches"):
+        dispatch((), 100.0)
 
 
 def test_dispatch_reduction_commutes(bench30_network, bench30_stacks):
@@ -368,19 +377,9 @@ def test_dispatch_reduction_commutes(bench30_network, bench30_stacks):
     assert direct.total_current == reduced.total_current
 
 
-def test_dispatch_reduces_each_branch_once(bench30_network, monkeypatch):
-    from fcdispatch import stack_model
-
-    calls = []
-    original = stack_model.reduce_branch
-
-    def counting(branch, index=None):
-        calls.append(index)
-        return original(branch, index)
-
-    monkeypatch.setattr(stack_model, "reduce_branch", counting)
+def test_dispatch_reduces_each_branch_once(bench30_network, reduce_branch_calls):
     dispatch(bench30_network, 75000.0)
-    assert len(calls) == len(bench30_network.branches) == 15
+    assert len(reduce_branch_calls) == len(bench30_network.branches) == 15
 
 
 def test_dispatch_branch_order_permutation(bench3_network):
