@@ -3,13 +3,14 @@
 Offline, the 2N marginal-power values of the branches at their bounds are
 sorted into a breakpoint table of levels and cumulative power (currents
 follow from the level). Online, a demand is bracketed between two consecutive
-breakpoints, branches pinned at a bound are subtracted out, and the interior
-branches are solved for the common marginal level mu by one bracketed level
-solve: the closed-form root of the interior power's cubic in mu seeds
-Newton-bisection steps that never leave the segment's level window. The
-paper's three-candidate cubic in the reference branch's sqrt-current
-(solve_segment_sqrt, select_feasible_root) and a model-agnostic bisection on
-the level (solve_segment_numeric) remain as public cross-checks.
+breakpoints; a demand equal to a breakpoint's power runs at that point's
+level. Otherwise branches pinned at a bound are subtracted out, and the
+interior branches are solved for the common marginal level mu by one
+bracketed level solve: the closed-form root of the interior power's cubic
+in mu seeds Newton-bisection steps that never leave the segment's level
+window. The paper's three-candidate cubic in the reference branch's
+sqrt-current (solve_segment_sqrt, select_feasible_root) and a model-agnostic
+bisection on the level (solve_segment_numeric) remain as public cross-checks.
 
 At the optimum every interior branch runs at the same dP/dI (the marginal
 level mu); branches at their lower bound have a steeper affordable marginal
@@ -229,10 +230,11 @@ def feasible_power_range(table: DispatchTable) -> tuple[float, float]:
 def locate_segment(table: DispatchTable, p_req: float) -> ActiveSets:
     """Bracket the demand between consecutive breakpoints and split branches.
 
-    A demand equal to a breakpoint power is assigned to the segment below
-    it; both neighboring segments solve to the same currents there. Raises
-    InfeasibleDemandError outside [p_min, p_max], up to the _EDGE_RTOL
-    slack at either edge.
+    The scan stops at the first breakpoint whose cumulative power is at
+    least the demand. A demand equal to that power runs at that point's
+    level: the segment is the zero-width window [mu, mu]. Demands within the
+    _EDGE_RTOL slack outside [p_min, p_max] are clamped to the edge; beyond
+    it InfeasibleDemandError is raised.
     """
     if math.isnan(p_req) or p_req < table.p_min - _EDGE_RTOL * max(1.0, abs(table.p_min)):
         raise InfeasibleDemandError(
@@ -245,13 +247,11 @@ def locate_segment(table: DispatchTable, p_req: float) -> ActiveSets:
 
     points = table.points
     p_scan = min(max(p_req, table.p_min), table.p_max)
-    if p_scan <= points[0].cumulative_power:
-        # Degenerate first segment: everything sits at its lower bound.
-        return _classify(table, mu_high=points[0].mu, mu_low=points[0].mu, p_req=p_req)
-
-    n = 1
+    n = 0
     while points[n].cumulative_power < p_scan:
         n += 1
+    if points[n].cumulative_power == p_scan:
+        return _classify(table, mu_high=points[n].mu, mu_low=points[n].mu, p_req=p_req)
     return _classify(table, mu_high=points[n - 1].mu, mu_low=points[n].mu, p_req=p_req)
 
 
@@ -464,21 +464,13 @@ def dispatch_table(table: DispatchTable, p_req: float) -> DispatchResult:
             status=err.status, p_req=p_req, feasible_range=err.feasible_range
         )
 
-    # A demand sitting on a breakpoint runs at that point's level: exact, and
-    # well defined even at the degenerate top point where every branch peaks
-    # and the interior solve is a tangency.
     stacks = table.stacks
-    tol = _POWER_RTOL * max(1.0, abs(p_req))
-    hit = next((pt for pt in table.points if abs(pt.cumulative_power - p_req) <= tol), None)
-    if hit is not None:
-        mu = hit.mu
-        sets = _classify(table, mu_high=mu, mu_low=mu, p_req=p_req)
-    elif sets.interior:
+    if sets.interior and sets.mu_low < sets.mu_high:
         sub = [stacks[j] for j in sorted(sets.interior)]
         mu = _solve_level(sub, sets.p_req_eff, sets.mu_low, sets.mu_high)
     else:
-        # Flat segment: every branch pinned; any level in the window is
-        # optimal and mu_low keeps all multipliers nonnegative.
+        # A breakpoint's zero-width window, or a flat segment with every
+        # branch pinned: mu_low is exact and keeps all multipliers nonnegative.
         mu = sets.mu_low
 
     currents = [0.0] * len(stacks)
@@ -490,7 +482,7 @@ def dispatch_table(table: DispatchTable, p_req: float) -> DispatchResult:
         currents[j] = stacks[j].inverse_marginal(mu)
 
     total_power = sum(s.power(i) for s, i in zip(stacks, currents))
-    if abs(total_power - p_req) > tol:
+    if abs(total_power - p_req) > _POWER_RTOL * max(1.0, abs(p_req)):
         raise SegmentSolveError(
             f"power balance violated: got {total_power} W for demand {p_req} W"
         )

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .dispatch import _EDGE_RTOL, _MAX_ITER, _POWER_RTOL, DispatchResult, DispatchStatus
+from .dispatch import _EDGE_RTOL, _MAX_ITER, DispatchResult, DispatchStatus
 from .stack_model import EquivalentStack, Network, as_equivalent_stacks
 
 if TYPE_CHECKING:
@@ -52,17 +52,17 @@ def lambda_bisection(
     Every branch follows the level through its clamped inverse marginal, so
     total power is continuous and nonincreasing in the level; the bracket
     spans from the flattest upper-bound marginal to the steepest lower-bound
-    marginal. Raises ValueError for demands outside the obtainable range.
+    marginal, and is halved down to float resolution. The obtainable range is
+    summed directly from the bound powers. Raises ValueError for demands
+    outside it.
     """
     stacks = as_equivalent_stacks(network)
-    mu_lo = min(s.marginal_power(s.i_ub_eff) for s in stacks)
-    mu_hi = max(s.marginal_power(s.i_lb) for s in stacks)
-
-    def total_power(mu: float) -> float:
-        return sum(s.power(s.inverse_marginal(mu)) for s in stacks)
-
-    p_min = total_power(mu_hi)
-    p_max = total_power(mu_lo)
+    lo = min(s.marginal_power(s.i_ub_eff) for s in stacks)
+    hi = max(s.marginal_power(s.i_lb) for s in stacks)
+    # Direct sums: mapping the bound levels back through inverse_marginal
+    # cancels in (mu - a) for large a and can shift the window's edges.
+    p_min = sum(s.power(s.i_lb) for s in stacks)
+    p_max = sum(s.power(s.i_ub_eff) for s in stacks)
     if (
         math.isnan(p_req)
         or p_req < p_min - _EDGE_RTOL * max(1.0, abs(p_min))
@@ -72,19 +72,14 @@ def lambda_bisection(
             f"demand {p_req} W outside obtainable range [{p_min}, {p_max}] W"
         )
 
-    tol = _POWER_RTOL * max(1.0, abs(p_req))
-    mu = mu_hi if abs(p_min - p_req) <= tol else mu_lo
-    if abs(total_power(mu) - p_req) > tol:
-        lo, hi = mu_lo, mu_hi
-        for _ in range(_MAX_ITER):
-            mu = 0.5 * (lo + hi)
-            diff = total_power(mu) - p_req
-            if abs(diff) <= tol:
-                break
-            if diff > 0.0:
-                lo = mu
-            else:
-                hi = mu
+    for _ in range(_MAX_ITER):  # power at lo >= p_req >= power at hi
+        mu = 0.5 * (lo + hi)
+        if mu == lo or mu == hi:
+            break
+        if sum(s.power(s.inverse_marginal(mu)) for s in stacks) > p_req:
+            lo = mu
+        else:
+            hi = mu
 
     currents = tuple(s.inverse_marginal(mu) for s in stacks)
     return OracleResult(

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from fcdispatch import dispatch
+from fcdispatch import build_table, dispatch
 from fcdispatch.cli import main
 
 from conftest import BENCH3_SNAPSHOTS
@@ -183,8 +183,12 @@ def test_validate_passes_benchmark(capsys, bench3_config):
     assert "ms" in err  # timings stay on stderr
 
 
-def test_validate_thirty_stack(capsys, bench30_config):
-    code, out, _ = run_cli(capsys, "validate", bench30_config, "--power", "75000")
+@pytest.mark.parametrize("power", ["75000", "p_max(1-1e-9)"])
+def test_validate_thirty_stack(capsys, bench30_config, bench30_stacks, power):
+    if power == "p_max(1-1e-9)":
+        # The top 1e-9 of the window, where currents move fast with the demand.
+        power = repr(build_table(bench30_stacks).p_max * (1.0 - 1e-9))
+    code, out, _ = run_cli(capsys, "validate", bench30_config, "--power", power)
     assert code == 0
     assert "result: PASS" in out
     assert "grid" not in out  # grid oracle only runs for <= 3 branches

@@ -355,9 +355,9 @@ def test_dispatch_exactly_at_breakpoint(
             p = pt.cumulative_power
             result = dispatch(network, p)
             assert result.status is DispatchStatus.OPTIMAL
-            # A demand runs at the level of the first point within the power
-            # tolerance; bench30's top points all lie within it of each other.
-            hit = next(q for q in table.points if abs(q.cumulative_power - p) <= 1e-9 * p)
+            # A demand runs at the level of the first point whose cumulative
+            # power equals it; bench30's top points share one power.
+            hit = next(q for q in table.points if q.cumulative_power == p)
             assert result.mu == hit.mu
             assert result.currents == table.currents_at(hit.mu)
             assert result.total_power == hit.cumulative_power

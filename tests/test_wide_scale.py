@@ -8,9 +8,10 @@ Each network is solved at every breakpoint power, at random interior
 demands, and at the window edges p_max(1 - 1e-12), p_max(1 - 1e-9) and
 p_min(1 + 1e-9).
 
-Agreement with lambda_bisection is not asserted here: close to p_max the
-problem is ill-conditioned enough that the oracle's own bisection misses
-float resolution. The paper-range oracle tests guard agreement.
+Every solve must also agree with lambda_bisection to within
+1e-6 * max(1 A, largest oracle current), the benchmark gate's tolerance.
+Both solvers run their level to float resolution, so they agree up to the
+window edges.
 """
 
 import math
@@ -26,6 +27,7 @@ from fcdispatch import (
     build_table,
     dispatch_table,
     effective_upper_bound,
+    lambda_bisection,
     reduce_network,
     verify_kkt,
 )
@@ -106,3 +108,6 @@ def test_wide_scale_feasible_demands_solve(case):
         assert result.status is DispatchStatus.OPTIMAL
         assert verify_kkt(result, stacks).ok
         assert abs(result.total_power - p) <= 1e-9 * max(1.0, abs(p))
+        oracle = lambda_bisection(stacks, p).currents
+        tol = 1e-6 * max(1.0, max(oracle))
+        assert max(abs(i - j) for i, j in zip(result.currents, oracle)) <= tol
