@@ -1,16 +1,18 @@
 """Minimum-current dispatch via an observable-point table and KKT active sets.
 
 Offline, the 2N marginal-power values of the branches at their bounds are
-sorted into a breakpoint table of levels and cumulative power (currents
-follow from the level). Online, a demand is bracketed between two consecutive
-breakpoints; a demand equal to a breakpoint's power runs at that point's
-level. Otherwise branches pinned at a bound are subtracted out, and the
-interior branches are solved for the common marginal level mu by one
-bracketed level solve: the closed-form root of the interior power's cubic
-in mu seeds Newton-bisection steps that never leave the segment's level
-window. The paper's three-candidate cubic in the reference branch's
-sqrt-current (solve_segment_sqrt, select_feasible_root) and a model-agnostic
-bisection on the level (solve_segment_numeric) remain as public cross-checks.
+sorted into a breakpoint table of levels and cumulative power. Every branch
+current is a function of the level alone, EquivalentStack.inverse_marginal,
+which is exact at the bound levels. Online, a demand is bracketed between two
+consecutive breakpoints; a demand equal to a breakpoint's power runs at that
+point's level. Otherwise branches pinned at a bound are subtracted out, and
+the interior branches are solved for the common marginal level mu by one
+bracketed level solve: the closed-form root of the interior power's cubic in
+mu seeds Newton-bisection steps that never leave the segment's level window.
+Every current of the result is read off mu. The paper's three-candidate cubic
+in the reference branch's sqrt-current (solve_segment_sqrt,
+select_feasible_root) and a model-agnostic bisection on the level
+(solve_segment_numeric) remain as public cross-checks.
 
 At the optimum every interior branch runs at the same dP/dI (the marginal
 level mu); branches at their lower bound have a steeper affordable marginal
@@ -100,8 +102,12 @@ class DispatchTable:
     p_max: float
 
     def currents_at(self, mu: float) -> tuple[float, ...]:
-        """Every branch's current when the network runs at marginal level mu."""
-        return tuple(_current_at_level(s, mu) for s in self.stacks)
+        """Every branch's current when the network runs at marginal level mu.
+
+        Each is the branch's inverse_marginal(mu), so the level of a
+        breakpoint gives that branch's bound current exactly.
+        """
+        return tuple(s.inverse_marginal(mu) for s in self.stacks)
 
 
 @dataclass(frozen=True)
@@ -200,7 +206,7 @@ def build_table(stacks: Sequence[EquivalentStack]) -> DispatchTable:
             mu=mu,
             branch_index=j,
             kind=kind,
-            cumulative_power=sum(s.power(_current_at_level(s, mu)) for s in stacks),
+            cumulative_power=sum(s.power(s.inverse_marginal(mu)) for s in stacks),
         )
         for mu, j, kind in raw
     )
@@ -210,16 +216,6 @@ def build_table(stacks: Sequence[EquivalentStack]) -> DispatchTable:
         p_min=points[0].cumulative_power,
         p_max=points[-1].cumulative_power,
     )
-
-
-def _current_at_level(s: EquivalentStack, mu: float) -> float:
-    # Branch position when the network marginal level is mu: pinned at a
-    # bound if the level has not reached (or has passed) it, interior else.
-    if s.marginal_power(s.i_lb) <= mu:
-        return s.i_lb
-    if s.marginal_power(s.i_ub_eff) >= mu:
-        return s.i_ub_eff
-    return s.inverse_marginal(mu)
 
 
 def feasible_power_range(table: DispatchTable) -> tuple[float, float]:
@@ -250,9 +246,8 @@ def locate_segment(table: DispatchTable, p_req: float) -> ActiveSets:
     n = 0
     while points[n].cumulative_power < p_scan:
         n += 1
-    if points[n].cumulative_power == p_scan:
-        return _classify(table, mu_high=points[n].mu, mu_low=points[n].mu, p_req=p_req)
-    return _classify(table, mu_high=points[n - 1].mu, mu_low=points[n].mu, p_req=p_req)
+    high = n if points[n].cumulative_power == p_scan else n - 1
+    return _classify(table, mu_high=points[high].mu, mu_low=points[n].mu, p_req=p_req)
 
 
 def _classify(table: DispatchTable, mu_high: float, mu_low: float, p_req: float) -> ActiveSets:
@@ -465,22 +460,17 @@ def dispatch_table(table: DispatchTable, p_req: float) -> DispatchResult:
         )
 
     stacks = table.stacks
-    if sets.interior and sets.mu_low < sets.mu_high:
+    if sets.mu_low < sets.mu_high:
+        # Power is a function of the level, so some branch changes across
+        # an open window. It is interior unless its two bound levels round
+        # to one float; the solve then only bisects towards a window end.
         sub = [stacks[j] for j in sorted(sets.interior)]
         mu = _solve_level(sub, sets.p_req_eff, sets.mu_low, sets.mu_high)
     else:
-        # A breakpoint's zero-width window, or a flat segment with every
-        # branch pinned: mu_low is exact and keeps all multipliers nonnegative.
+        # A breakpoint's zero-width window: its level is exact.
         mu = sets.mu_low
 
-    currents = [0.0] * len(stacks)
-    for j in sets.at_lb:
-        currents[j] = stacks[j].i_lb
-    for j in sets.at_ub:
-        currents[j] = stacks[j].i_ub_eff
-    for j in sets.interior:
-        currents[j] = stacks[j].inverse_marginal(mu)
-
+    currents = table.currents_at(mu)
     total_power = sum(s.power(i) for s, i in zip(stacks, currents))
     if abs(total_power - p_req) > _POWER_RTOL * max(1.0, abs(p_req)):
         raise SegmentSolveError(
@@ -490,7 +480,7 @@ def dispatch_table(table: DispatchTable, p_req: float) -> DispatchResult:
         status=DispatchStatus.OPTIMAL,
         p_req=p_req,
         feasible_range=(table.p_min, table.p_max),
-        currents=tuple(currents),
+        currents=currents,
         total_current=sum(currents),
         total_power=total_power,
         mu=mu,

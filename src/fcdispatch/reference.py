@@ -59,8 +59,9 @@ def lambda_bisection(
     stacks = as_equivalent_stacks(network)
     lo = min(s.marginal_power(s.i_ub_eff) for s in stacks)
     hi = max(s.marginal_power(s.i_lb) for s in stacks)
-    # Direct sums: mapping the bound levels back through inverse_marginal
-    # cancels in (mu - a) for large a and can shift the window's edges.
+    # Direct sums: the window's edges are the bound powers themselves. Going
+    # through the levels would put a branch whose two bound levels round to
+    # one float at its lower bound at both edges.
     p_min = sum(s.power(s.i_lb) for s in stacks)
     p_max = sum(s.power(s.i_ub_eff) for s in stacks)
     if (

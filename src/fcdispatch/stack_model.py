@@ -90,14 +90,18 @@ class EquivalentStack:
     def inverse_marginal(self, mu: float) -> float:
         """Current at which dP/dI equals mu, clamped to [i_lb, i_ub_eff].
 
-        Total and monotone nonincreasing in mu; the clamp is applied in
-        sqrt-current space so levels above a_eq land on the lower bound.
+        Total in mu, and nonincreasing up to rounding. The bounds are tested
+        in level space with marginal_power's expression, bit for bit, so a
+        bound's level maps back to that bound exactly: a level at or above
+        the lower bound's marginal gives i_lb, one at or below the upper
+        bound's gives i_ub_eff.
         """
-        x = (mu - self.a_eq) / (1.5 * self.b_eq)
-        if x <= math.sqrt(self.i_lb):
+        a, b15 = self.a_eq, 1.5 * self.b_eq
+        if a + b15 * math.sqrt(self.i_lb) <= mu:
             return self.i_lb
-        if x >= math.sqrt(self.i_ub_eff):
+        if a + b15 * math.sqrt(self.i_ub_eff) >= mu:
             return self.i_ub_eff
+        x = (mu - a) / b15
         return x * x
 
 

@@ -363,6 +363,32 @@ def test_dispatch_exactly_at_breakpoint(
             assert result.total_power == hit.cumulative_power
 
 
+def test_open_window_without_interior_branch():
+    # Branch 0's two bound levels round to one float although its bounds
+    # differ, so the window between its points and branch 1's is open while
+    # no branch is interior in it. The level solve then only bisects, and
+    # branch 0 runs at its upper bound.
+    from fcdispatch import BranchSpec, SqrtStackParams
+
+    net = Network(
+        branches=(
+            BranchSpec(stacks=(SqrtStackParams(a=1e4, b=-1e-4),), i_lb=1e12, i_ub=1e12 + 2**-11),
+            BranchSpec(stacks=(SqrtStackParams(a=30.0, b=-1e-4),), i_lb=1e10, i_ub=1e10),
+        )
+    )
+    stacks = reduce_network(net)
+    s = stacks[0]
+    assert s.i_lb < s.i_ub_eff and s.marginal_power(s.i_lb) == s.marginal_power(s.i_ub_eff)
+    table = build_table(stacks)
+    p = 0.5 * (table.points[1].cumulative_power + table.points[2].cumulative_power)
+    result = dispatch_table(table, p)
+    assert result.status is DispatchStatus.OPTIMAL
+    assert not result.sets.interior and result.sets.mu_low < result.sets.mu_high
+    assert result.currents == (stacks[0].i_ub_eff, stacks[1].i_lb)
+    assert abs(result.total_power - p) <= 1e-9 * p
+    assert verify_kkt(result, stacks).ok
+
+
 def test_empty_network_is_rejected():
     with pytest.raises(NetworkValidationError, match="network has no branches"):
         build_table(())
@@ -466,6 +492,9 @@ def test_cross_method_agreement_on_every_segment():
                 solve_segment_sqrt(stacks, order, sets.p_req_eff), stacks, order
             ).currents
             assert numeric == pytest.approx(cubic, abs=1e-6)
+            # The production level solve must agree with both.
+            got = dispatch_table(table, p).currents
+            assert [got[j] for j in order] == pytest.approx(numeric, abs=1e-6)
 
 
 def test_verify_kkt_benchmark(bench3_network):

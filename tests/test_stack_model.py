@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -82,6 +83,34 @@ def test_inverse_marginal_roundtrip():
                 i = s.i_lb + float(u) * (s.i_ub_eff - s.i_lb)
                 back = s.inverse_marginal(s.marginal_power(i))
                 assert back == pytest.approx(i, rel=1e-9, abs=1e-9)
+
+
+def _wide_scale_stack(rng: random.Random):
+    # One branch from the tests/test_wide_scale.py distribution.
+    a = rng.choice([0.0, 1e-3, 30.0 + 30.0 * rng.random(), 1e4])
+    b = -(10.0 ** (-4.0 + 5.0 * rng.random()))
+    phi = 0.01 + 0.99 * rng.random()
+    peak = effective_upper_bound(phi * a, phi * b, math.inf)
+    i_lb = 0.5 * rng.random() * peak
+    kind = rng.choice(["zero", "inf", "finite", "finite", "finite"])
+    if kind == "zero":
+        i_ub = i_lb
+    elif kind == "inf":
+        i_ub = math.inf
+    else:
+        i_ub = i_lb + 1.5 * rng.random() * peak
+    stack = SqrtStackParams(a=a, b=b, phi=phi)
+    return reduce_branch(BranchSpec(stacks=(stack,), i_lb=i_lb, i_ub=i_ub))
+
+
+def test_inverse_marginal_is_exact_at_its_bound_levels():
+    # The level of a bound maps back to that bound bit for bit, so a
+    # breakpoint's level gives exactly its bound currents.
+    rng = random.Random(20261018)
+    for _ in range(3000):
+        s = _wide_scale_stack(rng)
+        assert s.inverse_marginal(s.marginal_power(s.i_lb)) == s.i_lb
+        assert s.inverse_marginal(s.marginal_power(s.i_ub_eff)) == s.i_ub_eff
 
 
 def test_marginal_power_strictly_decreasing():
