@@ -17,21 +17,21 @@ from .dispatch import (
     dispatch,
     dispatch_table,
 )
-from .netconfig import ConfigError, parse_network, serialize_result, sweep_to_csv
+from .netconfig import ConfigError, _parse_reduced, serialize_result, sweep_to_csv
 from .reference import compare, grid_bruteforce, lambda_bisection
-from .stack_model import reduce_network
 
 _VALIDATE_TOL_CURRENT = 1e-3  # amperes, per branch
 _VALIDATE_GRID_POINTS = 200
 
 
-def _load_network(path: str):
+def _load_stacks(path: str):
+    """Parse and validate a config file; return its reduced branches."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as err:
         raise ConfigError(f"cannot read config {path!r}: {err}") from err
-    return parse_network(text)
+    return _parse_reduced(text)[1]
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -43,8 +43,7 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _cmd_plan(args) -> int:
-    network = _load_network(args.config)
-    table = build_table(reduce_network(network))
+    table = build_table(_load_stacks(args.config))
     n = len(table.stacks)
     header = ["point", "dp_di", "branch", "kind", "cum_power"] + [
         f"i_{j + 1}" for j in range(n)
@@ -64,8 +63,7 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    network = _load_network(args.config)
-    result = dispatch(network, args.power)
+    result = dispatch(_load_stacks(args.config), args.power)
     _emit(serialize_result(result), args.output)
     if result.status is not DispatchStatus.OPTIMAL:
         print(
@@ -84,8 +82,7 @@ def _cmd_sweep(args) -> int:
     if args.points < 2:
         print("sweep: --points must be >= 2", file=sys.stderr)
         return 2
-    network = _load_network(args.config)
-    table = build_table(reduce_network(network))
+    table = build_table(_load_stacks(args.config))
     step = (args.p_to - args.p_from) / (args.points - 1)
     demands = [args.p_from + k * step for k in range(args.points - 1)] + [args.p_to]
     results = [dispatch_table(table, p) for p in demands]
@@ -94,7 +91,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    stacks = reduce_network(_load_network(args.config))
+    stacks = _load_stacks(args.config)
 
     t0 = time.perf_counter()
     result = dispatch(stacks, args.power)

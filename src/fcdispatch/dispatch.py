@@ -3,10 +3,14 @@
 Offline, the 2N marginal-power values of the branches at their bounds are
 sorted into a breakpoint table of levels and cumulative power. Every branch
 current is a function of the level alone, EquivalentStack.inverse_marginal,
-which is exact at the bound levels. Online, a demand is bracketed between two
-consecutive breakpoints; a demand equal to a breakpoint's power runs at that
-point's level. Otherwise branches pinned at a bound are subtracted out, and
-the interior branches are solved for the common marginal level mu by one
+which is exact at the bound levels. One sweep down the levels carries the
+network power as running sums, so the table costs O(N log N) and its
+cumulative powers lie within _EDGE_RTOL of the direct branch-by-branch sums.
+Online, a demand is bracketed between two consecutive breakpoints by
+bisecting those powers and confirming the few within _EDGE_RTOL of it by
+their direct sums; a demand equal to a breakpoint's direct power runs at
+that point's level. Otherwise branches pinned at a bound are subtracted out,
+and the interior branches are solved for the common marginal level mu by one
 bracketed level solve: the closed-form root of the interior power's cubic in
 mu seeds Newton-bisection steps that never leave the segment's level window.
 Every current of the result is read off mu. The paper's three-candidate cubic
@@ -24,7 +28,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+import sys
+from bisect import bisect_left
+from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Sequence
 
 from .poly_roots import CubicCoefficients, real_roots
@@ -46,6 +53,8 @@ _EDGE_RTOL = 1e-12
 # to the box scale: a root at a tangency of the cubic (a demand at a power
 # peak) is computable only to ~sqrt(machine eps) of the scale.
 _X_FEAS_RTOL = 1e-6
+# Unit roundoff scale of the running sums in build_table.
+_EPS = sys.float_info.epsilon
 # Iteration cap for the level searches.
 _MAX_ITER = 200
 
@@ -53,6 +62,10 @@ _MAX_ITER = 200
 class PointKind(enum.Enum):
     LOWER_BOUND = "lb"
     UPPER_BOUND = "ub"
+
+
+_KINDS = (PointKind.LOWER_BOUND, PointKind.UPPER_BOUND)
+_STORED_POWER = attrgetter("cumulative_power")
 
 
 class DispatchStatus(enum.Enum):
@@ -83,7 +96,9 @@ class ObservablePoint:
     """Breakpoint where one branch enters or leaves a bound.
 
     mu is that branch's dP/dI at the bound; cumulative_power is the network
-    power when every branch runs at this level (DispatchTable.currents_at).
+    power when every branch runs at this level (DispatchTable.currents_at),
+    taken from the running sums of build_table: it lies within _EDGE_RTOL
+    of the direct branch-by-branch sum, not bit for bit on it.
     """
 
     mu: float
@@ -100,6 +115,8 @@ class DispatchTable:
     points: tuple[ObservablePoint, ...]
     p_min: float
     p_max: float
+    # Direct network power per breakpoint level, filled by locate_segment.
+    _direct: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def currents_at(self, mu: float) -> tuple[float, ...]:
         """Every branch's current when the network runs at marginal level mu.
@@ -108,6 +125,12 @@ class DispatchTable:
         breakpoint gives that branch's bound current exactly.
         """
         return tuple(s.inverse_marginal(mu) for s in self.stacks)
+
+    def _direct_power(self, mu: float) -> float:
+        p = self._direct.get(mu)
+        if p is None:
+            p = self._direct[mu] = _power_at(self.stacks, mu)
+        return p
 
 
 @dataclass(frozen=True)
@@ -190,31 +213,101 @@ def build_table(stacks: Sequence[EquivalentStack]) -> DispatchTable:
     """Construct the 2N-point observable table for pre-reduced branches.
 
     Points are sorted by (mu descending, lower-bound kind first, branch
-    index ascending) so equal-level ties are deterministic.
+    index ascending) so equal-level ties are deterministic. One sweep down
+    the levels keeps the pinned power and the interior power's cubic in mu
+    as running sums; each breakpoint moves one branch, so the table costs
+    O(N log N). At a level, a branch whose lower-bound level equals it is
+    still at i_lb (inverse_marginal tests that bound first), and one whose
+    two bound levels are the same float goes to i_ub_eff only below it.
+    p_min and p_max are direct sums.
     """
     stacks = tuple(stacks)
     if not stacks:
         raise NetworkValidationError("network has no branches")
-    raw = []
-    for j, s in enumerate(stacks):
-        raw.append((s.marginal_power(s.i_lb), j, PointKind.LOWER_BOUND))
-        raw.append((s.marginal_power(s.i_ub_eff), j, PointKind.UPPER_BOUND))
-    raw.sort(key=lambda t: (-t[0], t[2] is not PointKind.LOWER_BOUND, t[1]))
-
-    points = tuple(
-        ObservablePoint(
-            mu=mu,
-            branch_index=j,
-            kind=kind,
-            cumulative_power=sum(s.power(s.inverse_marginal(mu)) for s in stacks),
-        )
-        for mu, j, kind in raw
+    lb_level = [s.marginal_power(s.i_lb) for s in stacks]
+    ub_level = [s.marginal_power(s.i_ub_eff) for s in stacks]
+    # (-mu, 0 for a lower bound or 1 for an upper bound, branch index)
+    raw = sorted(
+        [(-m, 0, j) for j, m in enumerate(lb_level)]
+        + [(-m, 1, j) for j, m in enumerate(ub_level)]
     )
-    return DispatchTable(
-        stacks=stacks,
-        points=points,
-        p_min=points[0].cumulative_power,
-        p_max=points[-1].cumulative_power,
+    p_lb = [s.power(s.i_lb) for s in stacks]
+    # The direct sums at the end levels; at the top every branch is at i_lb.
+    p_min = sum(p_lb)
+    p_max = _power_at(stacks, -raw[-1][0])
+
+    pinned = p_min
+    c3 = c2 = c1 = c0 = 0.0  # interior power as a cubic in mu
+    interior = {}  # branch index -> its terms of that cubic
+    # Magnitudes of every term the two sums have taken in, the pinned
+    # powers' with c0's in h0: the scale of their rounding error.
+    h3 = h2 = h1 = 0.0
+    h0 = p_min
+    powers = []
+    level = None
+    for neg, upper, j in raw:
+        if neg != level:
+            # A branch's power is continuous in the level, so the network
+            # power at a level does not depend on which of the branches
+            # changing there the sums have moved yet.
+            level, mu = neg, -neg
+            if level == raw[-1][0]:
+                power = p_max
+            else:
+                power = pinned + (((c3 * mu + c2) * mu + c1) * mu + c0)
+                m = abs(mu)
+                if _EPS * (((h3 * m + h2) * m + h1) * m + h0) > _EDGE_RTOL * max(1.0, abs(power)):
+                    # The running sums cannot place this power within the
+                    # slack locate_segment relies on, as when a branch with
+                    # a large cubic runs just below its lower-bound level.
+                    power = _power_at(stacks, mu)
+        powers.append(power)
+        s = stacks[j]
+        if upper:
+            if j in interior:
+                # An interior branch reaches its upper bound.
+                t3, t2, t1, t0 = interior.pop(j)
+                c3, c2, c1, c0 = c3 - t3, c2 - t2, c1 - t1, c0 - t0
+                p_ub = s.power(s.i_ub_eff)
+                pinned += p_ub
+                h0 += p_ub
+            continue
+        # The branch leaves its lower bound just below this level; with
+        # both bound levels here, it goes straight to its upper bound.
+        pinned -= p_lb[j]
+        h0 += p_lb[j]
+        if ub_level[j] == mu:
+            p_ub = s.power(s.i_ub_eff)
+            pinned += p_ub
+            h0 += p_ub
+        else:
+            t3, t2, t1, t0 = interior[j] = _cubic_terms(s)
+            c3, c2, c1, c0 = c3 + t3, c2 + t2, c1 + t1, c0 + t0
+            h3, h2, h1, h0 = h3 + t3, h2 + abs(t2), h1 + abs(t1), h0 + t0
+    points = tuple(
+        ObservablePoint(-neg, j, _KINDS[upper], power)
+        for (neg, upper, j), power in zip(raw, powers)
+    )
+    return DispatchTable(stacks=stacks, points=points, p_min=p_min, p_max=p_max)
+
+
+def _power_at(stacks: Sequence[EquivalentStack], mu: float) -> float:
+    # Network power at level mu, summed branch by branch in index order, as
+    # dispatch_table sums a result's total_power.
+    return sum(s.power(s.inverse_marginal(mu)) for s in stacks)
+
+
+def _cubic_terms(s: EquivalentStack) -> tuple[float, float, float, float]:
+    # One interior branch's power as a cubic in the level mu: the terms
+    # _solve_level sums, with x = sqrt(I) = u*mu + v and P = (a + b*x)*x*x.
+    a, b = s.a_eq, s.b_eq
+    u = 1.0 / (1.5 * b)
+    v = -a * u
+    return (
+        b * u ** 3,
+        u * u * (a + 3.0 * b * v),
+        u * v * (2.0 * a + 3.0 * b * v),
+        v * v * (a + b * v),
     )
 
 
@@ -226,11 +319,20 @@ def feasible_power_range(table: DispatchTable) -> tuple[float, float]:
 def locate_segment(table: DispatchTable, p_req: float) -> ActiveSets:
     """Bracket the demand between consecutive breakpoints and split branches.
 
-    The scan stops at the first breakpoint whose cumulative power is at
-    least the demand. A demand equal to that power runs at that point's
-    level: the segment is the zero-width window [mu, mu]. Demands within the
-    _EDGE_RTOL slack outside [p_min, p_max] are clamped to the edge; beyond
-    it InfeasibleDemandError is raised.
+    The bracket ends at the first breakpoint whose direct power (the sum of
+    every branch's power at that level) is at least the demand. A demand
+    equal to that power runs at that point's level: the segment is the
+    zero-width window [mu, mu]. Demands within the _EDGE_RTOL slack outside
+    [p_min, p_max] are clamped to the edge; beyond it InfeasibleDemandError
+    is raised.
+
+    The search bisects the stored cumulative powers, which lie within the
+    slack of the direct ones. So every point stored below the demand's
+    window has a direct power below the demand, and every point stored above
+    it one above the demand; only the points stored inside the window are
+    resolved by their direct power, computed once per table. That is the
+    linear scan over direct powers, even where two adjacent direct powers
+    decrease by rounding.
     """
     if math.isnan(p_req) or p_req < table.p_min - _EDGE_RTOL * max(1.0, abs(table.p_min)):
         raise InfeasibleDemandError(
@@ -243,10 +345,16 @@ def locate_segment(table: DispatchTable, p_req: float) -> ActiveSets:
 
     points = table.points
     p_scan = min(max(p_req, table.p_min), table.p_max)
-    n = 0
-    while points[n].cumulative_power < p_scan:
+    slack = _EDGE_RTOL * max(1.0, abs(p_scan))
+    n = bisect_left(points, p_scan - slack, key=_STORED_POWER)
+    hit = False
+    while points[n].cumulative_power <= p_scan + slack:
+        direct = table._direct_power(points[n].mu)
+        if direct >= p_scan:
+            hit = direct == p_scan
+            break
         n += 1
-    high = n if points[n].cumulative_power == p_scan else n - 1
+    high = n if hit else n - 1
     return _classify(table, mu_high=points[high].mu, mu_low=points[n].mu, p_req=p_req)
 
 
@@ -466,12 +574,14 @@ def dispatch_table(table: DispatchTable, p_req: float) -> DispatchResult:
         # to one float; the solve then only bisects towards a window end.
         sub = [stacks[j] for j in sorted(sets.interior)]
         mu = _solve_level(sub, sets.p_req_eff, sets.mu_low, sets.mu_high)
+        currents = table.currents_at(mu)
+        total_power = sum(s.power(i) for s, i in zip(stacks, currents))
     else:
-        # A breakpoint's zero-width window: its level is exact.
+        # A breakpoint's zero-width window: its level is exact, and
+        # locate_segment has summed its power.
         mu = sets.mu_low
-
-    currents = table.currents_at(mu)
-    total_power = sum(s.power(i) for s, i in zip(stacks, currents))
+        currents = table.currents_at(mu)
+        total_power = table._direct_power(mu)
     if abs(total_power - p_req) > _POWER_RTOL * max(1.0, abs(p_req)):
         raise SegmentSolveError(
             f"power balance violated: got {total_power} W for demand {p_req} W"

@@ -13,7 +13,13 @@ import math
 from typing import Any, Sequence
 
 from .dispatch import DispatchResult, DispatchStatus
-from .stack_model import BranchSpec, Network, SqrtStackParams, validate_network
+from .stack_model import (
+    BranchSpec,
+    EquivalentStack,
+    Network,
+    SqrtStackParams,
+    reduce_network,
+)
 
 _INFEASIBLE_MESSAGE = "Required power cannot be obtained"
 
@@ -42,6 +48,12 @@ def _upper_bound(value: Any, where: str) -> float:
 
 def parse_network(text: str) -> Network:
     """Parse and validate a config document, with positional diagnostics."""
+    return _parse_reduced(text)[0]
+
+
+def _parse_reduced(text: str) -> tuple[Network, tuple[EquivalentStack, ...]]:
+    # parse_network plus the reduced branches its validation produces, so
+    # a caller that solves does not reduce every branch a second time.
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
@@ -87,7 +99,7 @@ def parse_network(text: str) -> Network:
 
     network = Network(branches=tuple(branches))
     try:
-        return validate_network(network)
+        return network, reduce_network(network)
     except ValueError as err:
         raise ConfigError(str(err)) from err
 

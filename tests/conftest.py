@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -97,6 +98,38 @@ def make_random_network(rng: np.random.Generator, n_branches: int | None = None)
     return Network(branches=tuple(branches))
 
 
+def make_wide_network(r: random.Random) -> Network:
+    """Random network far outside the paper's ranges (tests/test_wide_scale.py).
+
+    Single stacks with a in {0, 1e-3, U(30, 60), 1e4}, |b| = 10**U(-4, 1),
+    phi in U(0.01, 1) and i_lb = U(0, 0.5) * peak current; 20% have zero
+    width, 20% no upper bound, the rest i_ub = i_lb + U(0, 1.5) * peak; 30%
+    of the networks repeat one branch exactly.
+    """
+    branches = []
+    for _ in range(r.randint(1, 8)):
+        a = r.choice([0.0, 1e-3, None, 1e4])
+        if a is None:
+            a = 30.0 + 30.0 * r.random()
+        b = -(10.0 ** (-4.0 + 5.0 * r.random()))
+        phi = 0.01 + 0.99 * r.random()
+        peak = effective_upper_bound(phi * a, phi * b, math.inf)
+        i_lb = 0.5 * r.random() * peak
+        kind = r.choice(["zero", "inf", "finite", "finite", "finite"])
+        if kind == "zero":
+            i_ub = i_lb
+        elif kind == "inf":
+            i_ub = math.inf
+        else:
+            i_ub = i_lb + 1.5 * r.random() * peak
+        branches.append(
+            BranchSpec(stacks=(SqrtStackParams(a=a, b=b, phi=phi),), i_lb=i_lb, i_ub=i_ub)
+        )
+    if r.random() < 0.3:
+        branches += [r.choice(branches)] * r.randint(1, 3)
+    return Network(branches=tuple(branches))
+
+
 def power_range(network: Network) -> tuple[float, float]:
     """Feasible window computed by direct summation, bypassing the table."""
     stacks = reduce_network(network)
@@ -104,6 +137,11 @@ def power_range(network: Network) -> tuple[float, float]:
         sum(s.power(s.i_lb) for s in stacks),
         sum(s.power(s.i_ub_eff) for s in stacks),
     )
+
+
+def direct_power(table, mu: float) -> float:
+    """Network power at level mu, summed branch by branch in index order."""
+    return sum(s.power(i) for s, i in zip(table.stacks, table.currents_at(mu)))
 
 
 @pytest.fixture()

@@ -1,0 +1,115 @@
+"""The breakpoint table's running sums, and the location that bisects them.
+
+build_table sweeps the levels once, so its stored cumulative powers are
+running sums, not the direct branch-by-branch sums at each level. These
+tests pin what locate_segment relies on: the table costs O(N) branch power
+evaluations, every stored power lies within _EDGE_RTOL of the direct sum,
+and the bracket is the one a linear scan over direct sums picks.
+"""
+
+import math
+import random
+
+import numpy as np
+import pytest
+
+from fcdispatch import (
+    BranchSpec,
+    DispatchStatus,
+    EquivalentStack,
+    Network,
+    SqrtStackParams,
+    build_table,
+    dispatch_table,
+    locate_segment,
+    reduce_network,
+)
+from fcdispatch.dispatch import _EDGE_RTOL
+
+from conftest import direct_power, make_random_network, make_wide_network
+
+# At branch 1's lower-bound level, just below branch 0's, the terms of
+# branch 0's cubic in mu are 3e13 times its power there: running sums alone
+# store that point's power about 1% off.
+ILL_CONDITIONED = Network(
+    branches=(
+        BranchSpec(stacks=(SqrtStackParams(a=1e4, b=-1e-4),), i_lb=0.0, i_ub=math.inf),
+        BranchSpec(stacks=(SqrtStackParams(a=1e4, b=-1e-4, phi=0.9999999),), i_lb=0.0, i_ub=1.0),
+        BranchSpec(stacks=(SqrtStackParams(a=30.0, b=-1.0),), i_lb=1.0, i_ub=10.0),
+    )
+)
+
+
+def linear_scan(table, direct, p):
+    """(mu_high, mu_low) of the first point whose direct power is >= p."""
+    p = min(max(p, table.p_min), table.p_max)
+    n = next(k for k, d in enumerate(direct) if d >= p)
+    high = n if direct[n] == p else n - 1
+    return table.points[high].mu, table.points[n].mu
+
+
+def test_build_table_evaluates_each_branch_power_a_bounded_number_of_times(monkeypatch):
+    stacks = reduce_network(make_random_network(np.random.default_rng(8), 200))
+    calls = []
+    original = EquivalentStack.power
+
+    def counting(self, i):
+        calls.append(i)
+        return original(self, i)
+
+    monkeypatch.setattr(EquivalentStack, "power", counting)
+    build_table(stacks)
+    # A direct sum at each of the 2N points would take 2N^2 = 80,000.
+    assert len(calls) <= 4 * len(stacks)
+
+
+def sample_networks(name, request):
+    if name == "random1000":
+        return [make_random_network(np.random.default_rng(1), 1000)]
+    if name == "ill_conditioned":
+        return [ILL_CONDITIONED]
+    if name == "wide":
+        r = random.Random(11)
+        return [make_wide_network(r) for _ in range(300)]
+    return [request.getfixturevalue(f"{name}_network")]
+
+
+@pytest.mark.parametrize("name", ["bench3", "bench30", "random1000", "wide", "ill_conditioned"])
+def test_stored_powers_lie_within_edge_slack_of_direct_sums(name, request):
+    for network in sample_networks(name, request):
+        stacks = reduce_network(network)
+        table = build_table(stacks)
+        for pt in table.points:
+            d = direct_power(table, pt.mu)
+            assert abs(pt.cumulative_power - d) <= _EDGE_RTOL * max(1.0, abs(d))
+        assert table.p_min == direct_power(table, table.points[0].mu)
+        assert table.p_max == direct_power(table, table.points[-1].mu)
+
+
+def test_locate_segment_matches_a_linear_scan_over_direct_sums():
+    rng = np.random.default_rng(7)
+    r = random.Random(7)
+    networks = [make_random_network(rng, int(rng.integers(2, 61))) for _ in range(500)]
+    networks += [make_wide_network(r) for _ in range(100)] + [ILL_CONDITIONED]
+    decreasing = 0
+    for network in networks:
+        table = build_table(reduce_network(network))
+        direct = [direct_power(table, pt.mu) for pt in table.points]
+        decreasing += sum(b < a for a, b in zip(direct, direct[1:]))
+        span = table.p_max - table.p_min
+        demands = direct + [table.p_min + r.random() * span for _ in range(4)]
+        for p in demands:
+            sets = locate_segment(table, p)
+            assert (sets.mu_high, sets.mu_low) == linear_scan(table, direct, p)
+    # Rounding makes some adjacent direct sums decrease; the scan's choice
+    # (the first point at or above the demand) must hold there too.
+    assert decreasing > 0
+
+
+def test_ill_conditioned_breakpoint_demands_run_at_their_level():
+    table = build_table(reduce_network(ILL_CONDITIONED))
+    for pt in table.points:
+        p = direct_power(table, pt.mu)
+        result = dispatch_table(table, p)
+        assert result.status is DispatchStatus.OPTIMAL
+        assert result.total_power == p

@@ -214,8 +214,23 @@ def test_validate_corrupted_dispatch_exits_4(capsys, bench3_config, monkeypatch)
 def test_validate_reduces_the_network_once(capsys, bench3_config, reduce_branch_calls):
     code, _, _ = run_cli(capsys, "validate", bench3_config, "--power", "8000")
     assert code == 0
-    # Three branches: once while parsing the config, once for every solver.
-    assert len(reduce_branch_calls) == 6
+    # Three branches, reduced while the config is validated; every solver
+    # reuses those stacks.
+    assert len(reduce_branch_calls) == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--power", "8000"),
+        ("sweep", "--from", "400", "--to", "19000", "--points", "13"),
+        ("plan",),
+    ],
+)
+def test_command_reduces_the_network_once(capsys, bench3_config, reduce_branch_calls, argv):
+    code, _, _ = run_cli(capsys, argv[0], bench3_config, *argv[1:])
+    assert code == 0
+    assert len(reduce_branch_calls) == 3
 
 
 def test_validate_infeasible_exits_3(capsys, bench3_config):

@@ -23,7 +23,7 @@ from fcdispatch import (
     verify_kkt,
 )
 
-from conftest import BENCH3_SNAPSHOTS, make_random_network, power_range
+from conftest import BENCH3_SNAPSHOTS, direct_power, make_random_network, power_range
 
 # Independently computed breakpoints of the 3-branch benchmark network
 # (direct evaluation of the marginal at each bound plus power sums).
@@ -171,7 +171,7 @@ def test_locate_segment_at_minimum(bench3_stacks):
 
 def test_locate_segment_exact_breakpoint_uses_lower_segment(bench3_stacks):
     table = build_table(bench3_stacks)
-    p2 = table.points[1].cumulative_power
+    p2 = direct_power(table, table.points[1].mu)
     sets = locate_segment(table, p2)
     assert sets.interior == frozenset({0})
     assert sets.at_lb == frozenset({1, 2})
@@ -351,16 +351,16 @@ def test_dispatch_exactly_at_breakpoint(
 ):
     for network, stacks in ((bench3_network, bench3_stacks), (bench30_network, bench30_stacks)):
         table = build_table(stacks)
-        for pt in table.points:
-            p = pt.cumulative_power
+        direct = [direct_power(table, pt.mu) for pt in table.points]
+        for p in direct:
             result = dispatch(network, p)
             assert result.status is DispatchStatus.OPTIMAL
-            # A demand runs at the level of the first point whose cumulative
+            # A demand runs at the level of the first point whose direct
             # power equals it; bench30's top points share one power.
-            hit = next(q for q in table.points if q.cumulative_power == p)
+            hit = table.points[direct.index(p)]
             assert result.mu == hit.mu
             assert result.currents == table.currents_at(hit.mu)
-            assert result.total_power == hit.cumulative_power
+            assert result.total_power == p
 
 
 def test_open_window_without_interior_branch():
