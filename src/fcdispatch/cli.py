@@ -8,6 +8,7 @@ timings go to stderr so repeated invocations stay byte-identical.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -62,7 +63,17 @@ def _cmd_plan(args) -> int:
     return 0
 
 
+def _nan_power(args) -> bool:
+    """Report a NaN --power: no demand test can place it in or out of range."""
+    if math.isnan(args.power):
+        print(f"{args.command}: --power must be a number, got nan", file=sys.stderr)
+        return True
+    return False
+
+
 def _cmd_solve(args) -> int:
+    if _nan_power(args):
+        return 2
     result = dispatch(_load_stacks(args.config), args.power)
     _emit(serialize_result(result), args.output)
     if result.status is not DispatchStatus.OPTIMAL:
@@ -76,6 +87,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if not (math.isfinite(args.p_from) and math.isfinite(args.p_to)):
+        print("sweep: --from and --to must be finite", file=sys.stderr)
+        return 2
     if args.p_to < args.p_from:
         print("sweep: --to must be >= --from", file=sys.stderr)
         return 2
@@ -91,6 +105,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    if _nan_power(args):
+        return 2
     stacks = _load_stacks(args.config)
 
     t0 = time.perf_counter()

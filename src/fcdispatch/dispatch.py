@@ -6,6 +6,13 @@ current is a function of the level alone, EquivalentStack.inverse_marginal,
 which is exact at the bound levels. One sweep down the levels carries the
 network power as running sums, so the table costs O(N log N) and its
 cumulative powers lie within _EDGE_RTOL of the direct branch-by-branch sums.
+The table also keeps per-branch columns from that sweep: each branch's two
+bound levels and its power at both bounds, and, for a branch that can be
+interior, its sqrt-current as a line in the level and its power as a cubic
+in it. inverse_marginal stays the model's definition of the current at a
+level; the online path repeats its clamp and power's expression on the
+columns, float op for float op, so it calls no model method for a branch
+pinned at a bound and its results are those of the methods bit for bit.
 Online, a demand is bracketed between two consecutive breakpoints by
 bisecting those powers and confirming the few within _EDGE_RTOL of it by
 their direct sums; a demand equal to a breakpoint's direct power runs at
@@ -32,7 +39,7 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .poly_roots import CubicCoefficients, real_roots
 from .stack_model import (
@@ -107,30 +114,78 @@ class ObservablePoint:
     cumulative_power: float
 
 
+class _Columns(NamedTuple):
+    # Per-branch values, in branch order, that build_table computes once and
+    # the online path reads in place of EquivalentStack methods. lb_level and
+    # ub_level are marginal_power at i_lb and i_ub_eff: the very floats
+    # inverse_marginal compares a level with. p_lb and p_ub are power at
+    # those bounds. line and cubic are an interior branch's terms from
+    # _cubic_terms; they are None for a branch whose two bound levels are one
+    # float, which no window between consecutive levels has interior.
+    lb_level: list[float]
+    ub_level: list[float]
+    p_lb: list[float]
+    p_ub: list[float]
+    line: list
+    cubic: list
+
+
 @dataclass(frozen=True)
 class DispatchTable:
-    """Offline product: breakpoints sorted by decreasing marginal level."""
+    """Offline product: breakpoints sorted by decreasing marginal level.
+
+    The table also carries per-branch columns (_Columns), filled by
+    build_table from its sweep. They derive from stacks alone, so they are
+    left out of equality and repr. The online path reads them in place of
+    the branches' methods; EquivalentStack.inverse_marginal and power stay
+    the model's definitions, which the columns reproduce bit for bit.
+    """
 
     stacks: tuple[EquivalentStack, ...]
     points: tuple[ObservablePoint, ...]
     p_min: float
     p_max: float
+    _columns: _Columns | None = field(default=None, repr=False, compare=False)
     # Direct network power per breakpoint level, filled by locate_segment.
     _direct: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def currents_at(self, mu: float) -> tuple[float, ...]:
         """Every branch's current when the network runs at marginal level mu.
 
-        Each is the branch's inverse_marginal(mu), so the level of a
-        breakpoint gives that branch's bound current exactly.
+        Each is the branch's inverse_marginal(mu), evaluated on the table's
+        per-branch columns with that method's own float operations, so the
+        level of a breakpoint gives that branch's bound current exactly.
         """
-        return tuple(s.inverse_marginal(mu) for s in self.stacks)
+        return tuple(_at_level(self.stacks, self._columns, mu)[0])
 
     def _direct_power(self, mu: float) -> float:
         p = self._direct.get(mu)
         if p is None:
-            p = self._direct[mu] = _power_at(self.stacks, mu)
+            p = self._direct[mu] = sum(_at_level(self.stacks, self._columns, mu)[1])
         return p
+
+
+def _at_level(
+    stacks: Sequence[EquivalentStack], cols: _Columns, mu: float
+) -> tuple[list[float], list[float]]:
+    # Every branch's current at level mu and its power, in branch order:
+    # inverse_marginal's clamp and power's expression, float op for float op,
+    # with a pinned branch's level and power read from the columns.
+    currents, powers = [], []
+    for s, lb, ub, p_lb, p_ub in zip(stacks, cols.lb_level, cols.ub_level, cols.p_lb, cols.p_ub):
+        if lb <= mu:
+            currents.append(s.i_lb)
+            powers.append(p_lb)
+        elif ub >= mu:
+            currents.append(s.i_ub_eff)
+            powers.append(p_ub)
+        else:
+            a, b = s.a_eq, s.b_eq
+            x = (mu - a) / (1.5 * b)
+            i = x * x
+            currents.append(i)
+            powers.append(a * i + b * i * math.sqrt(i))
+    return currents, powers
 
 
 @dataclass(frozen=True)
@@ -219,7 +274,8 @@ def build_table(stacks: Sequence[EquivalentStack]) -> DispatchTable:
     O(N log N). At a level, a branch whose lower-bound level equals it is
     still at i_lb (inverse_marginal tests that bound first), and one whose
     two bound levels are the same float goes to i_ub_eff only below it.
-    p_min and p_max are direct sums.
+    p_min and p_max are direct sums. The values the sweep computes per
+    branch are kept as the table's columns for the online path.
     """
     stacks = tuple(stacks)
     if not stacks:
@@ -232,9 +288,13 @@ def build_table(stacks: Sequence[EquivalentStack]) -> DispatchTable:
         + [(-m, 1, j) for j, m in enumerate(ub_level)]
     )
     p_lb = [s.power(s.i_lb) for s in stacks]
+    p_ub = [s.power(s.i_ub_eff) for s in stacks]
+    line = [None] * len(stacks)
+    cubic = [None] * len(stacks)
+    columns = _Columns(lb_level, ub_level, p_lb, p_ub, line, cubic)
     # The direct sums at the end levels; at the top every branch is at i_lb.
     p_min = sum(p_lb)
-    p_max = _power_at(stacks, -raw[-1][0])
+    p_max = sum(_at_level(stacks, columns, -raw[-1][0])[1])
 
     pinned = p_min
     c3 = c2 = c1 = c0 = 0.0  # interior power as a cubic in mu
@@ -260,50 +320,45 @@ def build_table(stacks: Sequence[EquivalentStack]) -> DispatchTable:
                     # The running sums cannot place this power within the
                     # slack locate_segment relies on, as when a branch with
                     # a large cubic runs just below its lower-bound level.
-                    power = _power_at(stacks, mu)
+                    power = sum(_at_level(stacks, columns, mu)[1])
         powers.append(power)
-        s = stacks[j]
         if upper:
             if j in interior:
                 # An interior branch reaches its upper bound.
                 t3, t2, t1, t0 = interior.pop(j)
                 c3, c2, c1, c0 = c3 - t3, c2 - t2, c1 - t1, c0 - t0
-                p_ub = s.power(s.i_ub_eff)
-                pinned += p_ub
-                h0 += p_ub
+                pinned += p_ub[j]
+                h0 += p_ub[j]
             continue
         # The branch leaves its lower bound just below this level; with
         # both bound levels here, it goes straight to its upper bound.
         pinned -= p_lb[j]
         h0 += p_lb[j]
         if ub_level[j] == mu:
-            p_ub = s.power(s.i_ub_eff)
-            pinned += p_ub
-            h0 += p_ub
+            pinned += p_ub[j]
+            h0 += p_ub[j]
         else:
-            t3, t2, t1, t0 = interior[j] = _cubic_terms(s)
+            line[j], terms = _cubic_terms(stacks[j])
+            t3, t2, t1, t0 = interior[j] = cubic[j] = terms
             c3, c2, c1, c0 = c3 + t3, c2 + t2, c1 + t1, c0 + t0
             h3, h2, h1, h0 = h3 + t3, h2 + abs(t2), h1 + abs(t1), h0 + t0
     points = tuple(
         ObservablePoint(-neg, j, _KINDS[upper], power)
         for (neg, upper, j), power in zip(raw, powers)
     )
-    return DispatchTable(stacks=stacks, points=points, p_min=p_min, p_max=p_max)
+    return DispatchTable(
+        stacks=stacks, points=points, p_min=p_min, p_max=p_max, _columns=columns
+    )
 
 
-def _power_at(stacks: Sequence[EquivalentStack], mu: float) -> float:
-    # Network power at level mu, summed branch by branch in index order, as
-    # dispatch_table sums a result's total_power.
-    return sum(s.power(s.inverse_marginal(mu)) for s in stacks)
-
-
-def _cubic_terms(s: EquivalentStack) -> tuple[float, float, float, float]:
-    # One interior branch's power as a cubic in the level mu: the terms
-    # _solve_level sums, with x = sqrt(I) = u*mu + v and P = (a + b*x)*x*x.
+def _cubic_terms(s: EquivalentStack) -> tuple[tuple, tuple[float, float, float, float]]:
+    # One interior branch as _solve_level uses it: its line x = sqrt(I) =
+    # u*mu + v, kept as (u, v, a, b), and the terms of its power
+    # P = (a + b*x)*x*x as a cubic in the level mu.
     a, b = s.a_eq, s.b_eq
     u = 1.0 / (1.5 * b)
     v = -a * u
-    return (
+    return (u, v, a, b), (
         b * u ** 3,
         u * u * (a + 3.0 * b * v),
         u * v * (2.0 * a + 3.0 * b * v),
@@ -359,15 +414,17 @@ def locate_segment(table: DispatchTable, p_req: float) -> ActiveSets:
 
 
 def _classify(table: DispatchTable, mu_high: float, mu_low: float, p_req: float) -> ActiveSets:
+    cols = table._columns
+    p_lb, p_ub = cols.p_lb, cols.p_ub
     at_lb, interior, at_ub = set(), set(), set()
     fixed_power = 0.0
-    for j, s in enumerate(table.stacks):
-        if s.marginal_power(s.i_lb) <= mu_low:
+    for j, (lb, ub) in enumerate(zip(cols.lb_level, cols.ub_level)):
+        if lb <= mu_low:
             at_lb.add(j)
-            fixed_power += s.power(s.i_lb)
-        elif s.marginal_power(s.i_ub_eff) >= mu_high:
+            fixed_power += p_lb[j]
+        elif ub >= mu_high:
             at_ub.add(j)
-            fixed_power += s.power(s.i_ub_eff)
+            fixed_power += p_ub[j]
         else:
             interior.add(j)
     return ActiveSets(
@@ -516,32 +573,35 @@ def solve_segment_numeric(
     return currents
 
 
-def _solve_level(sub: Sequence[EquivalentStack], p_req_eff: float, lo: float, hi: float) -> float:
-    # Common marginal level of the interior branches sub, inside the segment's
-    # window [lo, hi]. With x_j = u_j*mu + v_j the interior power is a cubic
-    # in mu; its root inside the window seeds Newton steps on the unexpanded
+def _solve_level(
+    cols: _Columns, interior: Sequence[int], p_req_eff: float, lo: float, hi: float
+) -> float:
+    # Common marginal level of the interior branches (ascending indices),
+    # inside the segment's window [lo, hi]. With x_j = u_j*mu + v_j
+    # (cols.line) the interior power is a cubic in mu, the sum of cols.cubic;
+    # its root inside the window seeds Newton steps on the unexpanded
     # per-branch sum, whose slope is 2*mu*sum(u_j*x_j). Power falls as mu
     # rises, so every residual sign narrows the bracket, and a step that
     # would leave it (or a zero slope) bisects instead.
-    u = [1.0 / (1.5 * s.b_eq) for s in sub]
-    v = [-s.a_eq * uj for s, uj in zip(sub, u)]
+    line, cubic = cols.line, cols.cubic
     c3 = c2 = c1 = 0.0
     c0 = -p_req_eff
-    for s, uj, vj in zip(sub, u, v):
-        a, b = s.a_eq, s.b_eq
-        c3 += b * uj ** 3
-        c2 += uj * uj * (a + 3.0 * b * vj)
-        c1 += uj * vj * (2.0 * a + 3.0 * b * vj)
-        c0 += vj * vj * (a + b * vj)
+    for j in interior:
+        t3, t2, t1, t0 = cubic[j]
+        c3 += t3
+        c2 += t2
+        c1 += t1
+        c0 += t0
+    lines = [line[j] for j in interior]
 
     roots = real_roots(CubicCoefficients(c3, c2, c1, c0))
     mu = next((r for r, _m in roots if lo <= r <= hi), 0.5 * (lo + hi))
     for _ in range(_MAX_ITER):
         gap, slope = -p_req_eff, 0.0
-        for s, uj, vj in zip(sub, u, v):
-            x = uj * mu + vj
-            gap += (s.a_eq + s.b_eq * x) * x * x
-            slope += uj * x
+        for u, v, a, b in lines:
+            x = u * mu + v
+            gap += (a + b * x) * x * x
+            slope += u * x
         slope *= 2.0 * mu
         if gap > 0.0:
             lo = mu
@@ -567,15 +627,15 @@ def dispatch_table(table: DispatchTable, p_req: float) -> DispatchResult:
             status=err.status, p_req=p_req, feasible_range=err.feasible_range
         )
 
-    stacks = table.stacks
     if sets.mu_low < sets.mu_high:
         # Power is a function of the level, so some branch changes across
         # an open window. It is interior unless its two bound levels round
         # to one float; the solve then only bisects towards a window end.
-        sub = [stacks[j] for j in sorted(sets.interior)]
-        mu = _solve_level(sub, sets.p_req_eff, sets.mu_low, sets.mu_high)
-        currents = table.currents_at(mu)
-        total_power = sum(s.power(i) for s, i in zip(stacks, currents))
+        cols = table._columns
+        mu = _solve_level(cols, sorted(sets.interior), sets.p_req_eff, sets.mu_low, sets.mu_high)
+        currents, powers = _at_level(table.stacks, cols, mu)
+        currents = tuple(currents)
+        total_power = sum(powers)
     else:
         # A breakpoint's zero-width window: its level is exact, and
         # locate_segment has summed its power.

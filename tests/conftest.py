@@ -73,6 +73,17 @@ def build_bench30_network() -> Network:
     )
 
 
+# Branch 0's two bound levels round to one float although its bounds differ,
+# so the window between its points and branch 1's is open with no branch
+# interior in it.
+OPEN_WINDOW_NETWORK = Network(
+    branches=(
+        BranchSpec(stacks=(SqrtStackParams(a=1e4, b=-1e-4),), i_lb=1e12, i_ub=1e12 + 2**-11),
+        BranchSpec(stacks=(SqrtStackParams(a=30.0, b=-1e-4),), i_lb=1e10, i_ub=1e10),
+    )
+)
+
+
 def make_random_network(rng: np.random.Generator, n_branches: int | None = None) -> Network:
     """Random concave network in the property-test parameter ranges."""
     n = int(n_branches) if n_branches is not None else int(rng.integers(2, 11))
@@ -140,8 +151,9 @@ def power_range(network: Network) -> tuple[float, float]:
 
 
 def direct_power(table, mu: float) -> float:
-    """Network power at level mu, summed branch by branch in index order."""
-    return sum(s.power(i) for s, i in zip(table.stacks, table.currents_at(mu)))
+    """Network power at level mu from the model's methods, summed branch by
+    branch in index order; it does not read the table's columns."""
+    return sum(s.power(s.inverse_marginal(mu)) for s in table.stacks)
 
 
 @pytest.fixture()

@@ -4,7 +4,9 @@ build_table sweeps the levels once, so its stored cumulative powers are
 running sums, not the direct branch-by-branch sums at each level. These
 tests pin what locate_segment relies on: the table costs O(N) branch power
 evaluations, every stored power lies within _EDGE_RTOL of the direct sum,
-and the bracket is the one a linear scan over direct sums picks.
+and the bracket is the one a linear scan over direct sums picks. The table's
+per-branch columns stand in for the model's methods online; the tests below
+hold them to those methods bit for bit, and count the calls a solve makes.
 """
 
 import math
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 
 from fcdispatch import (
+    ActiveSets,
     BranchSpec,
     DispatchStatus,
     EquivalentStack,
@@ -26,7 +29,7 @@ from fcdispatch import (
 )
 from fcdispatch.dispatch import _EDGE_RTOL
 
-from conftest import direct_power, make_random_network, make_wide_network
+from conftest import OPEN_WINDOW_NETWORK, direct_power, make_random_network, make_wide_network
 
 # At branch 1's lower-bound level, just below branch 0's, the terms of
 # branch 0's cubic in mu are 3e13 times its power there: running sums alone
@@ -68,6 +71,8 @@ def sample_networks(name, request):
         return [make_random_network(np.random.default_rng(1), 1000)]
     if name == "ill_conditioned":
         return [ILL_CONDITIONED]
+    if name == "open_window":
+        return [OPEN_WINDOW_NETWORK]
     if name == "wide":
         r = random.Random(11)
         return [make_wide_network(r) for _ in range(300)]
@@ -113,3 +118,98 @@ def test_ill_conditioned_breakpoint_demands_run_at_their_level():
         result = dispatch_table(table, p)
         assert result.status is DispatchStatus.OPTIMAL
         assert result.total_power == p
+
+
+COLUMN_NETWORKS = ["bench3", "bench30", "ill_conditioned", "open_window", "random1000", "wide"]
+
+
+def check_levels(table):
+    """Breakpoint levels, their float neighbours and each segment's midpoint.
+
+    At N=1000 every 10th breakpoint is taken, to keep the model loops short.
+    """
+    levels = [pt.mu for pt in table.points]
+    stride = 10 if len(table.stacks) >= 1000 else 1
+    out = []
+    for k in range(0, len(levels), stride):
+        mu = levels[k]
+        out += [mu, math.nextafter(mu, math.inf), math.nextafter(mu, -math.inf)]
+        if k + 1 < len(levels):
+            out.append(0.5 * (mu + levels[k + 1]))
+    return out
+
+
+def model_sets(stacks, mu_high, mu_low, p_req):
+    """The branch partition of a window, from marginal_power and power."""
+    at_lb, interior, at_ub = [], [], []
+    fixed_power = 0.0
+    for j, s in enumerate(stacks):
+        if s.marginal_power(s.i_lb) <= mu_low:
+            at_lb.append(j)
+            fixed_power += s.power(s.i_lb)
+        elif s.marginal_power(s.i_ub_eff) >= mu_high:
+            at_ub.append(j)
+            fixed_power += s.power(s.i_ub_eff)
+        else:
+            interior.append(j)
+    return ActiveSets(
+        frozenset(at_lb), frozenset(interior), frozenset(at_ub), p_req - fixed_power, mu_high, mu_low
+    )
+
+
+@pytest.mark.parametrize("name", COLUMN_NETWORKS)
+def test_currents_at_is_inverse_marginal_bit_for_bit(name, request):
+    for network in sample_networks(name, request):
+        stacks = reduce_network(network)
+        table = build_table(stacks)
+        for mu in check_levels(table):
+            assert table.currents_at(mu) == tuple(s.inverse_marginal(mu) for s in stacks)
+
+
+@pytest.mark.parametrize("name", COLUMN_NETWORKS)
+def test_locate_segment_sets_match_a_model_loop(name, request):
+    for network in sample_networks(name, request):
+        stacks = reduce_network(network)
+        table = build_table(stacks)
+        direct = [direct_power(table, pt.mu) for pt in table.points]
+        for mu in check_levels(table):
+            p = direct_power(table, mu)
+            sets = locate_segment(table, p)
+            assert sets == model_sets(stacks, *linear_scan(table, direct, p), p)
+
+
+@pytest.mark.parametrize("name", COLUMN_NETWORKS)
+def test_direct_power_matches_the_model_sum(name, request):
+    for network in sample_networks(name, request):
+        table = build_table(reduce_network(network))
+        for mu in check_levels(table):
+            assert table._direct_power(mu) == direct_power(table, mu)
+
+
+def test_online_solve_calls_no_model_method_on_a_pinned_branch(monkeypatch):
+    stacks = reduce_network(make_random_network(np.random.default_rng(8), 200))
+    table = build_table(stacks)
+    calls = {"power": 0, "marginal_power": 0, "inverse_marginal": 0}
+
+    def counting(name):
+        original = getattr(EquivalentStack, name)
+
+        def method(self, x):
+            calls[name] += 1
+            return original(self, x)
+
+        return method
+
+    for name in calls:
+        monkeypatch.setattr(EquivalentStack, name, counting(name))
+    span = table.p_max - table.p_min
+    demands = [table.p_min + f * span for f in (0.05, 0.37, 0.8)]
+    demands.append(direct_power(table, table.points[150].mu))
+    for p in demands:
+        for name in calls:
+            calls[name] = 0
+        result = dispatch_table(table, p)
+        assert result.status is DispatchStatus.OPTIMAL
+        assert calls["marginal_power"] == 0
+        assert calls["inverse_marginal"] == 0
+        assert calls["power"] <= len(result.sets.interior)

@@ -176,6 +176,25 @@ def test_sweep_bad_range_exits_2(capsys, bench3_config):
     assert "--points" in err
 
 
+@pytest.mark.parametrize("command", ["solve", "validate"])
+def test_nan_power_exits_2(capsys, bench3_config, command):
+    code, out, err = run_cli(capsys, command, bench3_config, "--power", "nan")
+    assert code == 2
+    assert out == ""
+    assert "--power" in err
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [("--from", "0", "--to", "inf"), ("--from", "nan", "--to", "5"), ("--from=-inf", "--to", "5")],
+)
+def test_sweep_non_finite_range_exits_2(capsys, bench3_config, bounds):
+    code, out, err = run_cli(capsys, "sweep", bench3_config, *bounds, "--points", "3")
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
 def test_validate_passes_benchmark(capsys, bench3_config):
     code, out, err = run_cli(capsys, "validate", bench3_config, "--power", "8000")
     assert code == 0

@@ -23,7 +23,13 @@ from fcdispatch import (
     verify_kkt,
 )
 
-from conftest import BENCH3_SNAPSHOTS, direct_power, make_random_network, power_range
+from conftest import (
+    BENCH3_SNAPSHOTS,
+    OPEN_WINDOW_NETWORK,
+    direct_power,
+    make_random_network,
+    power_range,
+)
 
 # Independently computed breakpoints of the 3-branch benchmark network
 # (direct evaluation of the marginal at each bound plus power sums).
@@ -364,19 +370,10 @@ def test_dispatch_exactly_at_breakpoint(
 
 
 def test_open_window_without_interior_branch():
-    # Branch 0's two bound levels round to one float although its bounds
-    # differ, so the window between its points and branch 1's is open while
-    # no branch is interior in it. The level solve then only bisects, and
+    # The window between branch 0's points and branch 1's is open while no
+    # branch is interior in it. The level solve then only bisects, and
     # branch 0 runs at its upper bound.
-    from fcdispatch import BranchSpec, SqrtStackParams
-
-    net = Network(
-        branches=(
-            BranchSpec(stacks=(SqrtStackParams(a=1e4, b=-1e-4),), i_lb=1e12, i_ub=1e12 + 2**-11),
-            BranchSpec(stacks=(SqrtStackParams(a=30.0, b=-1e-4),), i_lb=1e10, i_ub=1e10),
-        )
-    )
-    stacks = reduce_network(net)
+    stacks = reduce_network(OPEN_WINDOW_NETWORK)
     s = stacks[0]
     assert s.i_lb < s.i_ub_eff and s.marginal_power(s.i_lb) == s.marginal_power(s.i_ub_eff)
     table = build_table(stacks)
