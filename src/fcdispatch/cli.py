@@ -63,16 +63,18 @@ def _cmd_plan(args) -> int:
     return 0
 
 
-def _nan_power(args) -> bool:
-    """Report a NaN --power: no demand test can place it in or out of range."""
-    if math.isnan(args.power):
-        print(f"{args.command}: --power must be a number, got nan", file=sys.stderr)
+def _non_finite_power(args) -> bool:
+    """Report a --power that is not finite: no demand test can place a NaN,
+    and an infinite demand would reach the JSON result as the invalid token
+    Infinity."""
+    if not math.isfinite(args.power):
+        print(f"{args.command}: --power must be finite, got {args.power}", file=sys.stderr)
         return True
     return False
 
 
 def _cmd_solve(args) -> int:
-    if _nan_power(args):
+    if _non_finite_power(args):
         return 2
     result = dispatch(_load_stacks(args.config), args.power)
     _emit(serialize_result(result), args.output)
@@ -105,7 +107,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    if _nan_power(args):
+    if _non_finite_power(args):
         return 2
     stacks = _load_stacks(args.config)
 

@@ -6,24 +6,28 @@ current is a function of the level alone, EquivalentStack.inverse_marginal,
 which is exact at the bound levels. One sweep down the levels carries the
 network power as running sums, so the table costs O(N log N) and its
 cumulative powers lie within _EDGE_RTOL of the direct branch-by-branch sums.
-The table also keeps per-branch columns from that sweep: each branch's two
-bound levels and its power at both bounds, and, for a branch that can be
-interior, its sqrt-current as a line in the level and its power as a cubic
-in it. inverse_marginal stays the model's definition of the current at a
-level; the online path repeats its clamp and power's expression on the
-columns, float op for float op, so it calls no model method for a branch
-pinned at a bound and its results are those of the methods bit for bit.
+The table also keeps per-branch columns from that sweep: each branch's bound
+currents and its power at both bounds, for a branch that can be interior its
+sqrt-current as a line in the level and its power as a cubic in it, and per
+bound kind the branch indices in level order. inverse_marginal stays the
+model's definition of the current at a level; the online path repeats its
+clamp and power's expression on the columns, float op for float op, so it
+calls no model method and its results are those of the methods bit for bit.
 Online, a demand is bracketed between two consecutive breakpoints by
 bisecting those powers and confirming the few within _EDGE_RTOL of it by
 their direct sums; a demand equal to a breakpoint's direct power runs at
-that point's level. Otherwise branches pinned at a bound are subtracted out,
-and the interior branches are solved for the common marginal level mu by one
-bracketed level solve: the closed-form root of the interior power's cubic in
-mu seeds Newton-bisection steps that never leave the segment's level window.
-Every current of the result is read off mu. The paper's three-candidate cubic
-in the reference branch's sqrt-current (solve_segment_sqrt,
-select_feasible_root) and a model-agnostic bisection on the level
-(solve_segment_numeric) remain as public cross-checks.
+that point's level. Otherwise the branches pinned at a bound, found by
+bisecting the level-ordered indices, are subtracted out, and the interior
+branches are solved for the common marginal level mu by one bracketed level
+solve: the closed-form root of the interior power's cubic in mu seeds
+Newton-bisection steps that never leave the segment's level window and stop
+once the residual is within the rounding error of the power sum. Every
+current of the result is read off mu. A solve loops in Python only over
+the interior branches and those at their lower bound; the upper-bound
+columns are copied whole. The paper's three-candidate cubic in the
+reference branch's sqrt-current (solve_segment_sqrt, select_feasible_root)
+and a model-agnostic bisection on the level (solve_segment_numeric) remain
+as public cross-checks.
 
 At the optimum every interior branch runs at the same dP/dI (the marginal
 level mu); branches at their lower bound have a steeper affordable marginal
@@ -36,10 +40,10 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .poly_roots import CubicCoefficients, real_roots
 from .stack_model import (
@@ -98,8 +102,7 @@ class SegmentSolveError(RuntimeError):
     """Internal inconsistency: a located segment failed to solve cleanly."""
 
 
-@dataclass(frozen=True)
-class ObservablePoint:
+class ObservablePoint(NamedTuple):
     """Breakpoint where one branch enters or leaves a bound.
 
     mu is that branch's dP/dI at the bound; cumulative_power is the network
@@ -116,18 +119,26 @@ class ObservablePoint:
 
 class _Columns(NamedTuple):
     # Per-branch values, in branch order, that build_table computes once and
-    # the online path reads in place of EquivalentStack methods. lb_level and
-    # ub_level are marginal_power at i_lb and i_ub_eff: the very floats
-    # inverse_marginal compares a level with. p_lb and p_ub are power at
-    # those bounds. line and cubic are an interior branch's terms from
-    # _cubic_terms; they are None for a branch whose two bound levels are one
-    # float, which no window between consecutive levels has interior.
-    lb_level: list[float]
-    ub_level: list[float]
+    # the online path reads in place of EquivalentStack methods. i_lb and
+    # i_ub are the bound currents (i_ub_eff), p_lb and p_ub the power at
+    # them. line and cubic are an interior branch's terms from _cubic_terms;
+    # they are None for a branch whose two bound levels are one float, which
+    # no window between consecutive levels has interior.
+    i_lb: list[float]
+    i_ub: list[float]
     p_lb: list[float]
     p_ub: list[float]
     line: list
     cubic: list
+    # Per bound kind, the branch indices in the table's order (level
+    # descending, index ascending) and their negated bound levels, which
+    # ascend: marginal_power at i_lb or i_ub_eff, the very floats
+    # inverse_marginal compares a level with. The branches at a bound at
+    # any level are then a slice found by bisection.
+    lb_order: list[int]
+    lb_key: list[float]
+    ub_order: list[int]
+    ub_key: list[float]
 
 
 @dataclass(frozen=True)
@@ -156,36 +167,52 @@ class DispatchTable:
         per-branch columns with that method's own float operations, so the
         level of a breakpoint gives that branch's bound current exactly.
         """
-        return tuple(_at_level(self.stacks, self._columns, mu)[0])
+        return tuple(_at_level(self._columns, mu)[0])
 
     def _direct_power(self, mu: float) -> float:
         p = self._direct.get(mu)
         if p is None:
-            p = self._direct[mu] = sum(_at_level(self.stacks, self._columns, mu)[1])
+            p = self._direct[mu] = sum(_at_level(self._columns, mu)[1])
         return p
 
 
-def _at_level(
-    stacks: Sequence[EquivalentStack], cols: _Columns, mu: float
+def _split(cols: _Columns, mu_high: float, mu_low: float) -> tuple[list[int], set[int], set[int]]:
+    # inverse_marginal's clamp over a level window: the branches at their
+    # lower bound (lb_level <= mu_low) as a slice of the level order, then
+    # the sets of the others at their upper bound (ub_level >= mu_high) and
+    # interior. Two bisections; no per-branch Python work.
+    k = bisect_left(cols.lb_key, -mu_low)
+    interior = set(cols.lb_order[:k])
+    at_ub = interior.intersection(cols.ub_order[: bisect_right(cols.ub_key, -mu_high)])
+    interior -= at_ub
+    return cols.lb_order[k:], at_ub, interior
+
+
+def _assemble(
+    cols: _Columns, mu: float, at_lb: Iterable[int], interior: Iterable[int]
 ) -> tuple[list[float], list[float]]:
-    # Every branch's current at level mu and its power, in branch order:
-    # inverse_marginal's clamp and power's expression, float op for float op,
-    # with a pinned branch's level and power read from the columns.
-    currents, powers = [], []
-    for s, lb, ub, p_lb, p_ub in zip(stacks, cols.lb_level, cols.ub_level, cols.p_lb, cols.p_ub):
-        if lb <= mu:
-            currents.append(s.i_lb)
-            powers.append(p_lb)
-        elif ub >= mu:
-            currents.append(s.i_ub_eff)
-            powers.append(p_ub)
-        else:
-            a, b = s.a_eq, s.b_eq
-            x = (mu - a) / (1.5 * b)
-            i = x * x
-            currents.append(i)
-            powers.append(a * i + b * i * math.sqrt(i))
+    # Every branch's current and power at level mu, in branch order, for a
+    # split of the branches at mu: the upper-bound columns, the lower-bound
+    # ones over at_lb, and inverse_marginal's and power's expressions, float
+    # op for float op, over the interior.
+    currents, powers = cols.i_ub.copy(), cols.p_ub.copy()
+    i_lb, p_lb, line = cols.i_lb, cols.p_lb, cols.line
+    for j in at_lb:
+        currents[j] = i_lb[j]
+        powers[j] = p_lb[j]
+    for j in interior:
+        _, _, a, b = line[j]
+        x = (mu - a) / (1.5 * b)
+        i = x * x
+        currents[j] = i
+        powers[j] = a * i + b * i * math.sqrt(i)
     return currents, powers
+
+
+def _at_level(cols: _Columns, mu: float) -> tuple[list[float], list[float]]:
+    # Every branch's current at level mu and its power, in branch order.
+    at_lb, _, interior = _split(cols, mu, mu)
+    return _assemble(cols, mu, at_lb, interior)
 
 
 @dataclass(frozen=True)
@@ -282,19 +309,30 @@ def build_table(stacks: Sequence[EquivalentStack]) -> DispatchTable:
         raise NetworkValidationError("network has no branches")
     lb_level = [s.marginal_power(s.i_lb) for s in stacks]
     ub_level = [s.marginal_power(s.i_ub_eff) for s in stacks]
-    # (-mu, 0 for a lower bound or 1 for an upper bound, branch index)
-    raw = sorted(
-        [(-m, 0, j) for j, m in enumerate(lb_level)]
-        + [(-m, 1, j) for j, m in enumerate(ub_level)]
-    )
+    # (-mu, 0 for a lower bound or 1 for an upper bound, branch index), per
+    # kind and merged
+    lb_raw = sorted([(-m, 0, j) for j, m in enumerate(lb_level)])
+    ub_raw = sorted([(-m, 1, j) for j, m in enumerate(ub_level)])
+    raw = sorted(lb_raw + ub_raw)
     p_lb = [s.power(s.i_lb) for s in stacks]
     p_ub = [s.power(s.i_ub_eff) for s in stacks]
     line = [None] * len(stacks)
     cubic = [None] * len(stacks)
-    columns = _Columns(lb_level, ub_level, p_lb, p_ub, line, cubic)
+    columns = _Columns(
+        [s.i_lb for s in stacks],
+        [s.i_ub_eff for s in stacks],
+        p_lb,
+        p_ub,
+        line,
+        cubic,
+        [j for _, _, j in lb_raw],
+        [neg for neg, _, _ in lb_raw],
+        [j for _, _, j in ub_raw],
+        [neg for neg, _, _ in ub_raw],
+    )
     # The direct sums at the end levels; at the top every branch is at i_lb.
     p_min = sum(p_lb)
-    p_max = sum(_at_level(stacks, columns, -raw[-1][0])[1])
+    p_max = sum(_at_level(columns, -raw[-1][0])[1])
 
     pinned = p_min
     c3 = c2 = c1 = c0 = 0.0  # interior power as a cubic in mu
@@ -320,7 +358,7 @@ def build_table(stacks: Sequence[EquivalentStack]) -> DispatchTable:
                     # The running sums cannot place this power within the
                     # slack locate_segment relies on, as when a branch with
                     # a large cubic runs just below its lower-bound level.
-                    power = sum(_at_level(stacks, columns, mu)[1])
+                    power = sum(_at_level(columns, mu)[1])
         powers.append(power)
         if upper:
             if j in interior:
@@ -415,23 +453,20 @@ def locate_segment(table: DispatchTable, p_req: float) -> ActiveSets:
 
 def _classify(table: DispatchTable, mu_high: float, mu_low: float, p_req: float) -> ActiveSets:
     cols = table._columns
-    p_lb, p_ub = cols.p_lb, cols.p_ub
-    at_lb, interior, at_ub = set(), set(), set()
-    fixed_power = 0.0
-    for j, (lb, ub) in enumerate(zip(cols.lb_level, cols.ub_level)):
-        if lb <= mu_low:
-            at_lb.add(j)
-            fixed_power += p_lb[j]
-        elif ub >= mu_high:
-            at_ub.add(j)
-            fixed_power += p_ub[j]
-        else:
-            interior.add(j)
+    at_lb, at_ub, interior = _split(cols, mu_high, mu_low)
+    # The pinned power in branch order, as a loop over the branches would
+    # add it: 0.0 in place of an interior branch adds nothing.
+    fixed = cols.p_ub.copy()
+    p_lb = cols.p_lb
+    for j in at_lb:
+        fixed[j] = p_lb[j]
+    for j in interior:
+        fixed[j] = 0.0
     return ActiveSets(
         at_lb=frozenset(at_lb),
         interior=frozenset(interior),
         at_ub=frozenset(at_ub),
-        p_req_eff=p_req - fixed_power,
+        p_req_eff=p_req - sum(fixed),
         mu_high=mu_high,
         mu_low=mu_low,
     )
@@ -575,14 +610,23 @@ def solve_segment_numeric(
 
 def _solve_level(
     cols: _Columns, interior: Sequence[int], p_req_eff: float, lo: float, hi: float
-) -> float:
+) -> tuple[float, int]:
     # Common marginal level of the interior branches (ascending indices),
-    # inside the segment's window [lo, hi]. With x_j = u_j*mu + v_j
-    # (cols.line) the interior power is a cubic in mu, the sum of cols.cubic;
-    # its root inside the window seeds Newton steps on the unexpanded
-    # per-branch sum, whose slope is 2*mu*sum(u_j*x_j). Power falls as mu
-    # rises, so every residual sign narrows the bracket, and a step that
-    # would leave it (or a zero slope) bisects instead.
+    # inside the segment's window [lo, hi], and the number of direct passes
+    # it took. With x_j = u_j*mu + v_j (cols.line) the interior power is a
+    # cubic in mu, the sum of cols.cubic; its root inside the window seeds
+    # Newton steps on the unexpanded per-branch sum, whose slope is
+    # 2*mu*sum(u_j*x_j). Power falls as mu rises, so every residual sign
+    # narrows the bracket, and a step that would leave it (or a zero slope)
+    # bisects instead. The solve stops once a residual says nothing more
+    # about mu. Every term is positive below the power peak, so
+    # gap + p_req_eff is their sum, and floor times it bounds the sum's
+    # rounding error: n additions plus the 6 roundings of each term
+    # (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    # ch. 4). The residual must also be within floor of slope*mu, so that
+    # the Newton step it implies is within floor of mu: near a power peak
+    # the power is flat in mu, and a residual at the floor can still leave
+    # mu far off.
     line, cubic = cols.line, cols.cubic
     c3 = c2 = c1 = 0.0
     c0 = -p_req_eff
@@ -593,16 +637,19 @@ def _solve_level(
         c1 += t1
         c0 += t0
     lines = [line[j] for j in interior]
+    floor = _EPS * (len(lines) + 6)
 
     roots = real_roots(CubicCoefficients(c3, c2, c1, c0))
     mu = next((r for r, _m in roots if lo <= r <= hi), 0.5 * (lo + hi))
-    for _ in range(_MAX_ITER):
+    for passes in range(1, _MAX_ITER + 1):
         gap, slope = -p_req_eff, 0.0
         for u, v, a, b in lines:
             x = u * mu + v
             gap += (a + b * x) * x * x
             slope += u * x
         slope *= 2.0 * mu
+        if abs(gap) <= floor * min(gap + p_req_eff, abs(slope * mu)):
+            break
         if gap > 0.0:
             lo = mu
         else:
@@ -615,7 +662,7 @@ def _solve_level(
             if nxt == lo or nxt == hi:
                 break
         mu = nxt
-    return mu
+    return mu, passes
 
 
 def dispatch_table(table: DispatchTable, p_req: float) -> DispatchResult:
@@ -632,8 +679,16 @@ def dispatch_table(table: DispatchTable, p_req: float) -> DispatchResult:
         # an open window. It is interior unless its two bound levels round
         # to one float; the solve then only bisects towards a window end.
         cols = table._columns
-        mu = _solve_level(cols, sorted(sets.interior), sets.p_req_eff, sets.mu_low, sets.mu_high)
-        currents, powers = _at_level(table.stacks, cols, mu)
+        interior = sorted(sets.interior)
+        mu = _solve_level(cols, interior, sets.p_req_eff, sets.mu_low, sets.mu_high)[0]
+        if sets.mu_low < mu < sets.mu_high:
+            # No bound level lies strictly inside the window, so the
+            # branches split at mu as they do over the window.
+            currents, powers = _assemble(cols, mu, sets.at_lb, interior)
+        else:
+            # At a window end, a branch whose bound level is that end sits
+            # at the bound.
+            currents, powers = _at_level(cols, mu)
         currents = tuple(currents)
         total_power = sum(powers)
     else:

@@ -9,6 +9,7 @@ per-branch columns stand in for the model's methods online; the tests below
 hold them to those methods bit for bit, and count the calls a solve makes.
 """
 
+import importlib
 import math
 import random
 
@@ -27,7 +28,7 @@ from fcdispatch import (
     locate_segment,
     reduce_network,
 )
-from fcdispatch.dispatch import _EDGE_RTOL
+from fcdispatch.dispatch import _EDGE_RTOL, _POWER_RTOL, _solve_level
 
 from conftest import OPEN_WINDOW_NETWORK, direct_power, make_random_network, make_wide_network
 
@@ -213,3 +214,66 @@ def test_online_solve_calls_no_model_method_on_a_pinned_branch(monkeypatch):
         assert calls["marginal_power"] == 0
         assert calls["inverse_marginal"] == 0
         assert calls["power"] <= len(result.sets.interior)
+
+
+@pytest.mark.parametrize("name", COLUMN_NETWORKS)
+def test_dispatch_table_result_is_the_model_at_its_level(name, request):
+    for network in sample_networks(name, request):
+        stacks = reduce_network(network)
+        table = build_table(stacks)
+        for mu in check_levels(table):
+            result = dispatch_table(table, direct_power(table, mu))
+            assert result.currents == tuple(s.inverse_marginal(result.mu) for s in stacks)
+            assert result.total_power == direct_power(table, result.mu)
+
+
+@pytest.mark.parametrize("end", ["mu_low", "mu_high"])
+@pytest.mark.parametrize("name", COLUMN_NETWORKS)
+def test_dispatch_table_result_at_a_window_end_is_the_model_at_its_level(
+    name, end, request, monkeypatch
+):
+    # A level solve that lands on a window end. The demands are one float
+    # off a breakpoint's direct power, on the side whose window ends there;
+    # the end is kept where its power meets the demand.
+    def at_end(cols, interior, p_req_eff, lo, hi):
+        return (lo if end == "mu_low" else hi), 0
+
+    # The package exports a function named dispatch, which shadows the module.
+    monkeypatch.setattr(importlib.import_module("fcdispatch.dispatch"), "_solve_level", at_end)
+    towards = -math.inf if end == "mu_low" else math.inf
+    solved = 0
+    for network in sample_networks(name, request):
+        stacks = reduce_network(network)
+        table = build_table(stacks)
+        stride = 10 if len(stacks) >= 1000 else 1
+        for pt in table.points[::stride]:
+            p = math.nextafter(direct_power(table, pt.mu), towards)
+            sets = locate_segment(table, p)
+            mu = getattr(sets, end)
+            if not sets.mu_low < sets.mu_high or direct_power(table, mu) != pytest.approx(
+                p, rel=_POWER_RTOL, abs=_POWER_RTOL
+            ):
+                continue
+            result = dispatch_table(table, p)
+            assert result.mu == mu
+            assert result.currents == tuple(s.inverse_marginal(mu) for s in stacks)
+            assert result.total_power == direct_power(table, mu)
+            solved += 1
+    assert solved > 0
+
+
+def test_level_solve_stops_at_its_rounding_floor():
+    # The cubic seed is almost always within the rounding error of the
+    # direct sum already, so most solves take a single pass.
+    table = build_table(reduce_network(make_random_network(np.random.default_rng(1), 1000)))
+    levels = [pt.mu for pt in table.points]
+    passes = []
+    for k in range(0, len(levels) - 1, 10):
+        sets = locate_segment(table, direct_power(table, 0.5 * (levels[k] + levels[k + 1])))
+        if sets.mu_low < sets.mu_high:
+            interior = sorted(sets.interior)
+            passes.append(
+                _solve_level(table._columns, interior, sets.p_req_eff, sets.mu_low, sets.mu_high)[1]
+            )
+    assert len(passes) > 100
+    assert sum(passes) / len(passes) <= 1.5

@@ -178,10 +178,11 @@ def test_sweep_bad_range_exits_2(capsys, bench3_config):
 
 @pytest.mark.parametrize("command", ["solve", "validate"])
 def test_nan_power_exits_2(capsys, bench3_config, command):
-    code, out, err = run_cli(capsys, command, bench3_config, "--power", "nan")
-    assert code == 2
-    assert out == ""
-    assert "--power" in err
+    for power in ("nan", "inf", "-inf"):
+        code, out, err = run_cli(capsys, command, bench3_config, f"--power={power}")
+        assert code == 2
+        assert out == ""
+        assert "--power" in err
 
 
 @pytest.mark.parametrize(
