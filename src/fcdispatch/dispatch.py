@@ -19,13 +19,14 @@ their direct sums; a demand equal to a breakpoint's direct power runs at
 that point's level. Otherwise the branches pinned at a bound, found by
 bisecting the level-ordered indices, are subtracted out, and the interior
 branches are solved for the common marginal level mu by one bracketed level
-solve: the closed-form root of the interior power's cubic in mu seeds
-Newton-bisection steps that never leave the segment's level window and stop
-once the residual is within the rounding error of the power sum. Every
-current of the result is read off mu. A solve loops in Python only over
-the interior branches and those at their lower bound; the upper-bound
-columns are copied whole. The paper's three-candidate cubic in the
-reference branch's sqrt-current (solve_segment_sqrt, select_feasible_root)
+solve: safeguarded Newton-bisection steps on the interior power's summed
+cubic in mu seed the same steps on the direct per-branch sum; neither leaves
+the segment's level window, and the solve stops once the residual is within
+the rounding error of the power sum. Every current of the result is read
+off mu. A solve loops in Python only over the interior branches and those
+at their lower bound; the upper-bound columns are copied whole. The paper's
+three-candidate cubic in the reference branch's sqrt-current
+(solve_segment_sqrt, which alone calls poly_roots, and select_feasible_root)
 and a model-agnostic bisection on the level (solve_segment_numeric) remain
 as public cross-checks.
 
@@ -614,8 +615,9 @@ def _solve_level(
     # Common marginal level of the interior branches (ascending indices),
     # inside the segment's window [lo, hi], and the number of direct passes
     # it took. With x_j = u_j*mu + v_j (cols.line) the interior power is a
-    # cubic in mu, the sum of cols.cubic; its root inside the window seeds
-    # Newton steps on the unexpanded per-branch sum, whose slope is
+    # cubic in mu, the sum of cols.cubic. The window brackets its one root
+    # there, so Newton steps on the cubic's Horner form find it, and seed
+    # the same steps on the unexpanded per-branch sum, whose slope is
     # 2*mu*sum(u_j*x_j). Power falls as mu rises, so every residual sign
     # narrows the bracket, and a step that would leave it (or a zero slope)
     # bisects instead. The solve stops once a residual says nothing more
@@ -639,8 +641,26 @@ def _solve_level(
     lines = [line[j] for j in interior]
     floor = _EPS * (len(lines) + 6)
 
-    roots = real_roots(CubicCoefficients(c3, c2, c1, c0))
-    mu = next((r for r, _m in roots if lo <= r <= hi), 0.5 * (lo + hi))
+    # The seed's steps keep their own copy of the bracket: rounding can give
+    # the cubic one sign over the whole window, and the seed then bisects to
+    # a window end, where the direct passes take over.
+    left, right = lo, hi
+    mu = 0.5 * (lo + hi)
+    for _ in range(_MAX_ITER):
+        f = ((c3 * mu + c2) * mu + c1) * mu + c0
+        if f > 0.0:
+            left = mu
+        else:
+            right = mu
+        df = (3.0 * c3 * mu + 2.0 * c2) * mu + c1
+        nxt = mu - f / df if df else math.nan
+        if nxt == mu:
+            break
+        if not left < nxt < right:
+            nxt = 0.5 * (left + right)
+            if nxt == left or nxt == right:
+                break
+        mu = nxt
     for passes in range(1, _MAX_ITER + 1):
         gap, slope = -p_req_eff, 0.0
         for u, v, a, b in lines:

@@ -5,6 +5,11 @@ through the trigonometric form, a single real root through Cardano with the
 stable cube-root pairing. Every root is then refined by a few Newton steps on
 the original polynomial, so returned residuals are near machine precision
 even for poorly scaled coefficients.
+
+All the roots are wanted only by the paper's three-candidate segment cubic,
+solve_segment_sqrt, which is kept as a cross-check. The online dispatch
+path solves its cubic in the level without this module: the segment's level
+window brackets the one root it needs.
 """
 
 from __future__ import annotations

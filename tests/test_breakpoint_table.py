@@ -24,9 +24,11 @@ from fcdispatch import (
     Network,
     SqrtStackParams,
     build_table,
+    dispatch,
     dispatch_table,
     locate_segment,
     reduce_network,
+    verify_kkt,
 )
 from fcdispatch.dispatch import _EDGE_RTOL, _POWER_RTOL, _solve_level
 
@@ -77,6 +79,10 @@ def sample_networks(name, request):
     if name == "wide":
         r = random.Random(11)
         return [make_wide_network(r) for _ in range(300)]
+    if name == "paper":
+        return [
+            make_random_network(np.random.default_rng(s), n) for s in range(3) for n in range(2, 31)
+        ]
     return [request.getfixturevalue(f"{name}_network")]
 
 
@@ -262,18 +268,98 @@ def test_dispatch_table_result_at_a_window_end_is_the_model_at_its_level(
     assert solved > 0
 
 
-def test_level_solve_stops_at_its_rounding_floor():
-    # The cubic seed is almost always within the rounding error of the
-    # direct sum already, so most solves take a single pass.
-    table = build_table(reduce_network(make_random_network(np.random.default_rng(1), 1000)))
-    levels = [pt.mu for pt in table.points]
+@pytest.mark.parametrize("name", ["bench3", "bench30", "paper", "random1000"])
+def test_level_solve_stops_at_its_rounding_floor(name, request):
+    # The seed, the summed cubic's root found by safeguarded Newton steps
+    # inside the window, is almost always within the rounding error of the
+    # direct sum already, so most solves take a single pass. That is
+    # counted where the stop rule's bound is the power sum's rounding error,
+    # min(power, |slope*mu|) = power at the returned level. Near a power
+    # peak, |slope*mu| is smaller; the residual of any seed is then at the
+    # floor of the power but not of slope*mu, and the passes only chase
+    # rounding (tests/test_near_peak.py). At N=1000 no solve is left out.
     passes = []
-    for k in range(0, len(levels) - 1, 10):
-        sets = locate_segment(table, direct_power(table, 0.5 * (levels[k] + levels[k + 1])))
-        if sets.mu_low < sets.mu_high:
+    for network in sample_networks(name, request):
+        table = build_table(reduce_network(network))
+        cols = table._columns
+        levels = [pt.mu for pt in table.points]
+        stride = 10 if len(table.stacks) >= 1000 else 1
+        for k in range(0, len(levels) - 1, stride):
+            sets = locate_segment(table, direct_power(table, 0.5 * (levels[k] + levels[k + 1])))
+            if not sets.mu_low < sets.mu_high:
+                continue
             interior = sorted(sets.interior)
-            passes.append(
-                _solve_level(table._columns, interior, sets.p_req_eff, sets.mu_low, sets.mu_high)[1]
-            )
-    assert len(passes) > 100
+            mu, n = _solve_level(cols, interior, sets.p_req_eff, sets.mu_low, sets.mu_high)
+            power = slope = 0.0
+            for u, v, a, b in (cols.line[j] for j in interior):
+                x = u * mu + v
+                power += (a + b * x) * x * x
+                slope += u * x
+            if name == "random1000" or power <= abs(2.0 * mu * mu * slope):
+                passes.append(n)
+    assert len(passes) > {"bench3": 4, "bench30": 13, "paper": 500, "random1000": 100}[name]
     assert sum(passes) / len(passes) <= 1.5
+
+
+def test_online_solve_finds_no_cubic_roots(monkeypatch, bench3_network, bench30_network):
+    # The located window brackets the interior cubic's one root there, so
+    # neither dispatch_table nor dispatch asks poly_roots for all three.
+    def fail(*args):
+        raise AssertionError("online solve called poly_roots")
+
+    # The package exports a function named dispatch, which shadows the module.
+    module = importlib.import_module("fcdispatch.dispatch")
+    monkeypatch.setattr(module, "real_roots", fail)
+    monkeypatch.setattr(module, "CubicCoefficients", fail)
+    rng = np.random.default_rng(11)
+    networks = [bench3_network, bench30_network]
+    networks += [make_random_network(rng, int(rng.integers(2, 31))) for _ in range(20)]
+    for network in networks:
+        stacks = reduce_network(network)
+        table = build_table(stacks)
+        levels = [pt.mu for pt in table.points]
+        demands = [direct_power(table, mu) for mu in levels]
+        demands += [direct_power(table, 0.5 * (a + b)) for a, b in zip(levels, levels[1:])]
+        demands += [table.p_min, table.p_max]
+        for p in demands:
+            result = dispatch_table(table, p)
+            assert result.status is DispatchStatus.OPTIMAL
+            assert verify_kkt(result, stacks).ok
+            assert abs(result.total_power - p) <= 1e-9 * max(1.0, abs(p))
+        p = 0.5 * (table.p_min + table.p_max)
+        assert dispatch(network, p).currents == dispatch_table(table, p).currents
+
+
+# A wide-scale network (tests/test_wide_scale.py's a=1e4 example) whose
+# summed cubic is negative at both ends of its one open window for demands
+# a few floats below p_max: the terms are 1e17 W, so the cubic's rounding
+# exceeds the few hundred watts it has left at the low end.
+ONE_SIGN_CUBIC = Network(
+    branches=(
+        BranchSpec(
+            stacks=(SqrtStackParams(a=1e4, b=-0.00035078460462560613, phi=0.599767010796046),),
+            i_lb=88028738715393.44,
+            i_ub=312859079203784.4,
+        ),
+    )
+)
+
+
+def test_level_solve_seed_stays_in_the_window_when_the_cubic_has_one_sign():
+    table = build_table(reduce_network(ONE_SIGN_CUBIC))
+    cols = table._columns
+    p = table.p_max
+    for _ in range(3):
+        p = math.nextafter(p, -math.inf)
+        sets = locate_segment(table, p)
+        lo, hi = sets.mu_low, sets.mu_high
+        c3, c2, c1, c0 = (sum(terms) for terms in zip(*(cols.cubic[j] for j in sets.interior)))
+        c0 -= sets.p_req_eff
+        assert ((c3 * lo + c2) * lo + c1) * lo + c0 < 0.0
+        assert ((c3 * hi + c2) * hi + c1) * hi + c0 < 0.0
+        mu, _ = _solve_level(cols, sorted(sets.interior), sets.p_req_eff, lo, hi)
+        assert lo <= mu <= hi
+        result = dispatch_table(table, p)
+        assert result.status is DispatchStatus.OPTIMAL
+        assert result.mu == mu
+        assert abs(result.total_power - p) <= 1e-9 * abs(p)
