@@ -15,20 +15,19 @@ clamp and power's expression on the columns, float op for float op, so it
 calls no model method and its results are those of the methods bit for bit.
 Online, a demand is bracketed between two consecutive breakpoints by
 bisecting those powers and confirming the few within _EDGE_RTOL of it by
-their direct sums; a demand equal to a breakpoint's direct power runs at
-that point's level. Otherwise the branches pinned at a bound, found by
-bisecting the level-ordered indices, are subtracted out, and the interior
-branches are solved for the common marginal level mu by one bracketed level
-solve: safeguarded Newton-bisection steps on the interior power's summed
-cubic in mu seed the same steps on the direct per-branch sum; neither leaves
-the segment's level window, and the solve stops once the residual is within
-the rounding error of the power sum. Every current of the result is read
-off mu. A solve loops in Python only over the interior branches and those
-at their lower bound; the upper-bound columns are copied whole. The paper's
-three-candidate cubic in the reference branch's sqrt-current
-(solve_segment_sqrt, which alone calls poly_roots, and select_feasible_root)
-and a model-agnostic bisection on the level (solve_segment_numeric) remain
-as public cross-checks.
+their direct sums; a demand equal to a breakpoint's direct power gets the
+zero-width window at that point's level. The branches pinned at a bound,
+found by bisecting the level-ordered indices, are subtracted out; in an open
+window the interior ones are solved for the common marginal level mu by one
+bracketed level solve: safeguarded Newton-bisection steps on the interior
+power's summed cubic in mu seed the same steps on the direct per-branch sum,
+inside the window, until the residual is within the rounding error of the
+power sum. Every result is assembled from locate_segment's split at mu,
+looping in Python only over the interior branches and those at their lower
+bound. The paper's three-candidate cubic in the reference branch's
+sqrt-current (solve_segment_sqrt, which alone calls poly_roots, and
+select_feasible_root) and a model-agnostic bisection on the level
+(solve_segment_numeric) remain as public cross-checks.
 
 At the optimum every interior branch runs at the same dP/dI (the marginal
 level mu); branches at their lower bound have a steeper affordable marginal
@@ -150,14 +149,16 @@ class DispatchTable:
     build_table from its sweep. They derive from stacks alone, so they are
     left out of equality and repr. The online path reads them in place of
     the branches' methods; EquivalentStack.inverse_marginal and power stay
-    the model's definitions, which the columns reproduce bit for bit.
+    the model's definitions, which the columns reproduce bit for bit. A
+    breakpoint's result, like any other, is assembled from locate_segment's
+    split: a zero-width window at the breakpoint's level.
     """
 
     stacks: tuple[EquivalentStack, ...]
     points: tuple[ObservablePoint, ...]
     p_min: float
     p_max: float
-    _columns: _Columns | None = field(default=None, repr=False, compare=False)
+    _columns: _Columns = field(repr=False, compare=False)
     # Direct network power per breakpoint level, filled by locate_segment.
     _direct: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -337,7 +338,6 @@ def build_table(stacks: Sequence[EquivalentStack]) -> DispatchTable:
 
     pinned = p_min
     c3 = c2 = c1 = c0 = 0.0  # interior power as a cubic in mu
-    interior = {}  # branch index -> its terms of that cubic
     # Magnitudes of every term the two sums have taken in, the pinned
     # powers' with c0's in h0: the scale of their rounding error.
     h3 = h2 = h1 = 0.0
@@ -362,9 +362,9 @@ def build_table(stacks: Sequence[EquivalentStack]) -> DispatchTable:
                     power = sum(_at_level(columns, mu)[1])
         powers.append(power)
         if upper:
-            if j in interior:
+            if cubic[j] is not None:
                 # An interior branch reaches its upper bound.
-                t3, t2, t1, t0 = interior.pop(j)
+                t3, t2, t1, t0 = cubic[j]
                 c3, c2, c1, c0 = c3 - t3, c2 - t2, c1 - t1, c0 - t0
                 pinned += p_ub[j]
                 h0 += p_ub[j]
@@ -378,7 +378,7 @@ def build_table(stacks: Sequence[EquivalentStack]) -> DispatchTable:
             h0 += p_ub[j]
         else:
             line[j], terms = _cubic_terms(stacks[j])
-            t3, t2, t1, t0 = interior[j] = cubic[j] = terms
+            t3, t2, t1, t0 = cubic[j] = terms
             c3, c2, c1, c0 = c3 + t3, c2 + t2, c1 + t1, c0 + t0
             h3, h2, h1, h0 = h3 + t3, h2 + abs(t2), h1 + abs(t1), h0 + t0
     points = tuple(
@@ -694,29 +694,22 @@ def dispatch_table(table: DispatchTable, p_req: float) -> DispatchResult:
             status=err.status, p_req=p_req, feasible_range=err.feasible_range
         )
 
-    if sets.mu_low < sets.mu_high:
+    # A breakpoint's zero-width window needs no solve: its level is exact.
+    cols = table._columns
+    at_lb, interior, mu = sets.at_lb, sets.interior, sets.mu_low
+    if mu < sets.mu_high:
         # Power is a function of the level, so some branch changes across
         # an open window. It is interior unless its two bound levels round
         # to one float; the solve then only bisects towards a window end.
-        cols = table._columns
-        interior = sorted(sets.interior)
-        mu = _solve_level(cols, interior, sets.p_req_eff, sets.mu_low, sets.mu_high)[0]
-        if sets.mu_low < mu < sets.mu_high:
-            # No bound level lies strictly inside the window, so the
-            # branches split at mu as they do over the window.
-            currents, powers = _assemble(cols, mu, sets.at_lb, interior)
-        else:
+        interior = sorted(interior)
+        mu = _solve_level(cols, interior, sets.p_req_eff, mu, sets.mu_high)[0]
+        if not sets.mu_low < mu < sets.mu_high:
             # At a window end, a branch whose bound level is that end sits
-            # at the bound.
-            currents, powers = _at_level(cols, mu)
-        currents = tuple(currents)
-        total_power = sum(powers)
-    else:
-        # A breakpoint's zero-width window: its level is exact, and
-        # locate_segment has summed its power.
-        mu = sets.mu_low
-        currents = table.currents_at(mu)
-        total_power = table._direct_power(mu)
+            # at the bound. Strictly inside, no bound level lies in the
+            # window, so the branches split at mu as over the window.
+            at_lb, _, interior = _split(cols, mu, mu)
+    currents, powers = _assemble(cols, mu, at_lb, interior)
+    total_power = sum(powers)
     if abs(total_power - p_req) > _POWER_RTOL * max(1.0, abs(p_req)):
         raise SegmentSolveError(
             f"power balance violated: got {total_power} W for demand {p_req} W"
@@ -725,7 +718,7 @@ def dispatch_table(table: DispatchTable, p_req: float) -> DispatchResult:
         status=DispatchStatus.OPTIMAL,
         p_req=p_req,
         feasible_range=(table.p_min, table.p_max),
-        currents=currents,
+        currents=tuple(currents),
         total_current=sum(currents),
         total_power=total_power,
         mu=mu,
@@ -736,10 +729,8 @@ def dispatch_table(table: DispatchTable, p_req: float) -> DispatchResult:
 def dispatch(network: Network | Sequence[EquivalentStack], p_req: float) -> DispatchResult:
     """Validate and reduce (in one pass), build the table, and solve one demand."""
     if isinstance(network, Network):
-        stacks = reduce_network(network)
-    else:
-        stacks = tuple(network)
-    return dispatch_table(build_table(stacks), p_req)
+        network = reduce_network(network)
+    return dispatch_table(build_table(network), p_req)
 
 
 def _level_ratio(m: float, mu: float) -> float:

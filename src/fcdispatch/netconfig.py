@@ -2,8 +2,9 @@
 
 Config files are UTF-8 JSON with top-level keys "version" and "branches";
 each branch holds "stacks" (objects with "a", "b", "phi"), "i_lb" and
-"i_ub". The string "inf" is the one non-numeric bound token and maps to an
-unbounded upper limit. Numbers round-trip bit-exactly through serialization.
+"i_ub". Every number must be finite; the string "inf" is the one
+non-numeric bound token and maps to an unbounded upper limit. Numbers
+round-trip bit-exactly through serialization.
 """
 
 from __future__ import annotations
@@ -35,9 +36,15 @@ def _require(obj: dict, key: str, where: str) -> Any:
 
 
 def _number(value: Any, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    # Integers parse as floats, so any literal beyond the float range is inf.
+    if not isinstance(value, float) or not math.isfinite(value):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    return value
+
+
+def _non_json_constant(token: str) -> float:
+    # json.loads accepts NaN, Infinity and -Infinity, which JSON does not.
+    raise ConfigError(f"invalid JSON: {token} is not a number")
 
 
 def _upper_bound(value: Any, where: str) -> float:
@@ -55,7 +62,7 @@ def _parse_reduced(text: str) -> tuple[Network, tuple[EquivalentStack, ...]]:
     # parse_network plus the reduced branches its validation produces, so
     # a caller that solves does not reduce every branch a second time.
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=float, parse_constant=_non_json_constant)
     except json.JSONDecodeError as err:
         raise ConfigError(f"invalid JSON at line {err.lineno}, column {err.colno}: {err.msg}") from err
     if not isinstance(doc, dict):

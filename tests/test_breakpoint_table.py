@@ -363,3 +363,38 @@ def test_level_solve_seed_stays_in_the_window_when_the_cubic_has_one_sign():
         assert result.status is DispatchStatus.OPTIMAL
         assert result.mu == mu
         assert abs(result.total_power - p) <= 1e-9 * abs(p)
+
+
+def test_online_solve_splits_the_branches_once(monkeypatch, bench3_network, bench30_network):
+    # locate_segment's split serves the result, a breakpoint's zero-width
+    # window included; only a level that lands on an open window's end
+    # splits the branches again. The first pass fills the table's cache of
+    # breakpoint powers, so the second counts the solve alone.
+    module = importlib.import_module("fcdispatch.dispatch")
+    split = module._split
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return split(*args)
+
+    monkeypatch.setattr(module, "_split", counting)
+    rng = np.random.default_rng(5)
+    networks = [bench3_network, bench30_network]
+    networks += [make_random_network(rng, int(rng.integers(2, 31))) for _ in range(20)]
+    solves = 0
+    for network in networks:
+        table = build_table(reduce_network(network))
+        levels = [pt.mu for pt in table.points]
+        demands = [direct_power(table, mu) for mu in levels]
+        demands += [direct_power(table, 0.5 * (a + b)) for a, b in zip(levels, levels[1:])]
+        for p in demands:
+            dispatch_table(table, p)
+        for p in demands:
+            calls.clear()
+            result = dispatch_table(table, p)
+            sets = result.sets
+            at_end = sets.mu_low < sets.mu_high and not sets.mu_low < result.mu < sets.mu_high
+            assert len(calls) == 1 + at_end
+            solves += 1
+    assert solves > 1000

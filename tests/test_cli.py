@@ -294,3 +294,24 @@ def test_cli_import_does_not_load_numpy():
         [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path}
     )
     assert done.returncode == 0
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ('[{"stacks": [], "i_lb": 0, "i_ub": 1}]', "top level"),
+        (
+            '{"version": "1", "branches": '
+            '[{"stacks": [{"a": 40.0, "b": -0.5, "phi": 1.0}], "i_lb": 0, "i_ub": Infinity}]}',
+            "Infinity",
+        ),
+    ],
+    ids=["top-level-array", "infinity-token"],
+)
+def test_solve_misshapen_config_exits_2(capsys, tmp_path, text, where):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "solve", str(path), "--power", "100")
+    assert code == 2
+    assert out == ""
+    assert "config error" in err and where in err

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -286,6 +287,36 @@ def test_numeric_segment_matches_cubic(bench3_stacks):
 def test_numeric_segment_bracket_violation(bench3_stacks):
     with pytest.raises(SegmentSolveError, match="bracket"):
         solve_segment_numeric(bench3_stacks, [0], 1e9, 44.0, 39.9)
+
+
+def test_segment_solvers_reject_an_empty_interior(bench3_stacks):
+    with pytest.raises(SegmentSolveError, match="empty"):
+        solve_segment_sqrt(bench3_stacks, [], 8000.0)
+    with pytest.raises(SegmentSolveError, match="empty"):
+        solve_segment_numeric(bench3_stacks, [], 8000.0, 44.0, 39.9)
+
+
+def test_segment_cubic_rejects_a_reference_outside_the_interior(bench3_stacks):
+    with pytest.raises(ValueError, match="ref_branch 2"):
+        solve_segment_sqrt(bench3_stacks, [0, 1], 8000.0, ref_branch=2)
+
+
+def test_dispatch_table_rejects_a_level_that_misses_the_demand(bench3_stacks, monkeypatch):
+    # A level solve that returns the middle of its window, far from the
+    # root: the power balance that guards every result catches it.
+    def mid_window(cols, interior, p_req_eff, lo, hi):
+        return 0.5 * (lo + hi), 1
+
+    # The package exports a function named dispatch, which shadows the module.
+    monkeypatch.setattr(importlib.import_module("fcdispatch.dispatch"), "_solve_level", mid_window)
+    table = build_table(bench3_stacks)
+    levels = [pt.mu for pt in table.points]
+    for high, low in zip(levels, levels[1:]):
+        p = direct_power(table, low + 0.1 * (high - low))
+        with pytest.raises(SegmentSolveError, match="power balance violated"):
+            dispatch_table(table, p)
+    # A breakpoint's zero-width window needs no level solve.
+    assert dispatch_table(table, direct_power(table, levels[2])).mu == levels[2]
 
 
 def test_numeric_segment_power_residual_random():

@@ -172,3 +172,57 @@ def test_csv_floats_roundtrip(bench3_network):
     line = sweep_to_csv([res], 3).strip().split("\n")[1]
     cells = line.split(",")
     assert [float(c) for c in cells[1:4]] == list(res.currents)
+
+
+STACK = {"a": 40.0, "b": -0.5, "phi": 1.0}
+BRANCH = {"stacks": [STACK], "i_lb": 0, "i_ub": 10}
+
+
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        ([BRANCH], "top level"),
+        ({"version": 1, "branches": [BRANCH]}, "document: version"),
+        ({"version": "1", "branches": [BRANCH, [STACK]]}, r"branches\[1\]"),
+        ({"version": "1", "branches": [{**BRANCH, "stacks": STACK}]}, r"branches\[0\]: stacks"),
+        ({"version": "1", "branches": [{**BRANCH, "stacks": [STACK, 40.0]}]}, r"branches\[0\].stacks\[1\]"),
+    ],
+    ids=["top-level-array", "numeric-version", "branch-array", "stacks-object", "stack-number"],
+)
+def test_parse_rejects_misshapen_documents_with_location(doc, where):
+    with pytest.raises(ConfigError, match=where):
+        parse_network(json.dumps(doc))
+
+
+def config_text(field: str, literal: str) -> str:
+    """A one-branch config whose field holds the raw JSON text literal."""
+    stack = dict(STACK)
+    branch = {**BRANCH, "stacks": [stack]}
+    (stack if field in stack else branch)[field] = "@"
+    return json.dumps({"version": "1", "branches": [branch]}).replace('"@"', literal)
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("field", ["a", "i_lb", "i_ub"])
+def test_parse_rejects_non_json_number_tokens(token, field):
+    # Python's json module reads these tokens; JSON has none of them, and
+    # the string "inf" is the one way to write an unbounded upper limit.
+    with pytest.raises(ConfigError, match=token):
+        parse_network(config_text(field, token))
+
+
+@pytest.mark.parametrize(
+    "literal",
+    ["1e999", "-1e999", "1" + "0" * 400, "9" * 5000],
+    ids=["1e999", "-1e999", "401-digits", "5000-digits"],
+)
+def test_parse_rejects_numbers_beyond_the_float_range(literal):
+    with pytest.raises(ConfigError, match=r"branches\[0\].i_ub: expected a finite number"):
+        parse_network(config_text("i_ub", literal))
+
+
+def test_parse_keeps_inf_string_and_integer_bounds():
+    doc = {"version": "1", "branches": [BRANCH, {**BRANCH, "i_ub": "inf"}]}
+    net = parse_network(json.dumps(doc))
+    assert [b.i_ub for b in net.branches] == [10.0, math.inf]
+    assert all(type(b.i_lb) is float for b in net.branches)
