@@ -1,8 +1,11 @@
 """Command-line front end: plan, solve, sweep, validate.
 
-Exit codes: 0 success, 2 config/argument error, 3 infeasible demand,
-4 validation mismatch. Data goes to stdout (or --output); diagnostics and
-timings go to stderr so repeated invocations stay byte-identical.
+Exit codes: 0 success; 2 bad argument (a NaN or infinite --power/--from/--to,
+--points below 2 and --to below --from included), config error (unreadable,
+not UTF-8, malformed or invalid) or unwritable --output, with stdout empty;
+3 infeasible demand; 4 validation mismatch. Data goes to stdout (or --output);
+diagnostics and timings go to stderr so repeated invocations stay
+byte-identical.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ def _load_stacks(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config {path!r}: {err}") from err
     return _parse_reduced(text)[1]
 
@@ -63,19 +66,7 @@ def _cmd_plan(args) -> int:
     return 0
 
 
-def _non_finite_power(args) -> bool:
-    """Report a --power that is not finite: no demand test can place a NaN,
-    and an infinite demand would reach the JSON result as the invalid token
-    Infinity."""
-    if not math.isfinite(args.power):
-        print(f"{args.command}: --power must be finite, got {args.power}", file=sys.stderr)
-        return True
-    return False
-
-
 def _cmd_solve(args) -> int:
-    if _non_finite_power(args):
-        return 2
     result = dispatch(_load_stacks(args.config), args.power)
     _emit(serialize_result(result), args.output)
     if result.status is not DispatchStatus.OPTIMAL:
@@ -89,14 +80,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if not (math.isfinite(args.p_from) and math.isfinite(args.p_to)):
-        print("sweep: --from and --to must be finite", file=sys.stderr)
-        return 2
     if args.p_to < args.p_from:
         print("sweep: --to must be >= --from", file=sys.stderr)
-        return 2
-    if args.points < 2:
-        print("sweep: --points must be >= 2", file=sys.stderr)
         return 2
     table = build_table(_load_stacks(args.config))
     step = (args.p_to - args.p_from) / (args.points - 1)
@@ -107,8 +92,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    if _non_finite_power(args):
-        return 2
     stacks = _load_stacks(args.config)
 
     t0 = time.perf_counter()
@@ -138,15 +121,20 @@ def _cmd_validate(args) -> int:
             (s.i_ub_eff - s.i_lb) / (_VALIDATE_GRID_POINTS - 1) for s in stacks[:-1]
         )
         t0 = time.perf_counter()
-        grid = grid_bruteforce(stacks, args.power, _VALIDATE_GRID_POINTS)
-        t_grid = time.perf_counter() - t0
-        gap = grid.total_current - result.total_current
-        grid_ok = -1e-6 <= gap <= spacing + 1e-6
-        lines.append(
-            f"grid total: {grid.total_current:.6f} A "
-            f"(gap {gap:+.3e} A, allowance {spacing:.3e} A)"
-        )
-        print(f"grid search: {t_grid * 1e3:.3f} ms", file=sys.stderr)
+        try:
+            grid = grid_bruteforce(stacks, args.power, _VALIDATE_GRID_POINTS)
+        except ValueError as err:
+            # No grid point meets the demand: lambda_bisection judges alone.
+            lines.append(f"grid: skipped, {err}")
+        else:
+            t_grid = time.perf_counter() - t0
+            gap = grid.total_current - result.total_current
+            grid_ok = -1e-6 <= gap <= spacing + 1e-6
+            lines.append(
+                f"grid total: {grid.total_current:.6f} A "
+                f"(gap {gap:+.3e} A, allowance {spacing:.3e} A)"
+            )
+            print(f"grid search: {t_grid * 1e3:.3f} ms", file=sys.stderr)
 
     verdict = report.passed and grid_ok
     lines.append(f"result: {'PASS' if verdict else 'FAIL'}")
@@ -154,6 +142,22 @@ def _cmd_validate(args) -> int:
     print(f"dispatch: {t_dispatch * 1e3:.3f} ms", file=sys.stderr)
     print(f"lambda bisection: {t_oracle * 1e3:.3f} ms", file=sys.stderr)
     return 0 if verdict else 4
+
+
+def _finite_float(text: str) -> float:
+    # No demand test can place a NaN, and an infinite demand would reach the
+    # JSON result as the invalid token Infinity.
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+def _point_count(text: str) -> int:
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be >= 2, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -170,21 +174,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="dispatch one power demand")
     p_solve.add_argument("config")
-    p_solve.add_argument("--power", type=float, required=True, help="demand in watts")
+    p_solve.add_argument("--power", type=_finite_float, required=True, help="demand in watts")
     p_solve.add_argument("--output")
     p_solve.set_defaults(func=_cmd_solve)
 
     p_sweep = sub.add_parser("sweep", help="dispatch a range of demands as CSV")
     p_sweep.add_argument("config")
-    p_sweep.add_argument("--from", dest="p_from", type=float, required=True)
-    p_sweep.add_argument("--to", dest="p_to", type=float, required=True)
-    p_sweep.add_argument("--points", type=int, required=True)
+    p_sweep.add_argument("--from", dest="p_from", type=_finite_float, required=True)
+    p_sweep.add_argument("--to", dest="p_to", type=_finite_float, required=True)
+    p_sweep.add_argument("--points", type=_point_count, required=True)
     p_sweep.add_argument("--output")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_val = sub.add_parser("validate", help="cross-check dispatch against oracles")
     p_val.add_argument("config")
-    p_val.add_argument("--power", type=float, required=True)
+    p_val.add_argument("--power", type=_finite_float, required=True)
     p_val.add_argument("--output")
     p_val.set_defaults(func=_cmd_validate)
 
@@ -202,6 +206,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
+        return 2
+    except OSError as err:  # reading the config raises ConfigError: a write failed
+        print(f"cannot write output: {err}", file=sys.stderr)
         return 2
 
 

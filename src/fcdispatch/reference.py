@@ -91,16 +91,14 @@ def lambda_bisection(
     )
 
 
-def _solve_last_branch(
-    s: EquivalentStack, targets: np.ndarray, iters: int = 80
-) -> np.ndarray:
+def _solve_last_branch(s: EquivalentStack, targets: np.ndarray) -> np.ndarray:
     # Vectorized bisection for P(i) = target on [i_lb, i_ub_eff], where P is
     # strictly increasing below the power peak.
     import numpy as np
 
     lo = np.full_like(targets, s.i_lb)
     hi = np.full_like(targets, s.i_ub_eff)
-    for _ in range(iters):
+    for _ in range(80):
         mid = 0.5 * (lo + hi)
         below = s.a_eq * mid + s.b_eq * mid * np.sqrt(mid) < targets
         lo = np.where(below, mid, lo)
@@ -111,12 +109,14 @@ def _solve_last_branch(
 def grid_bruteforce(
     network: Network | Sequence[EquivalentStack], p_req: float, points_per_branch: int
 ) -> OracleResult:
-    """Exhaustive search over a current grid, for networks of <= 3 branches.
+    """Exhaustive search over a current grid, for networks of 1 to 3 branches.
 
-    All but the last branch are gridded; the last branch's current is solved
-    to meet the demand exactly, so the returned point is feasible and its
-    optimality gap is bounded by the grid spacing. Raises ValueError when no
-    grid point is feasible.
+    All but the last branch are gridded (one branch has no grid axis); the last
+    branch's current is solved for the residual demand, so the returned point
+    meets the demand and its optimality gap is bounded by the grid spacing. A
+    grid point is feasible when its residual lies in the last branch's power
+    range up to a 1e-9 relative slack; the residual is clipped to that range
+    before the solve. Raises ValueError when no grid point is feasible.
     """
     import numpy as np
 
@@ -131,21 +131,12 @@ def grid_bruteforce(
     p_last_lo = last.power(last.i_lb)
     p_last_hi = last.power(last.i_ub_eff)
 
-    if n == 1:
-        if not (p_last_lo - 1e-12 <= p_req <= p_last_hi + 1e-12):
-            raise ValueError(f"demand {p_req} W outside branch range [{p_last_lo}, {p_last_hi}] W")
-        current = float(_solve_last_branch(last, np.array([p_req]))[0])
-        return OracleResult(
-            currents=(current,),
-            total_current=current,
-            total_power=last.power(current),
-            method=OracleMethod.GRID_SEARCH,
-        )
-
     axes = [np.linspace(s.i_lb, s.i_ub_eff, points_per_branch) for s in stacks[:-1]]
     grids = np.meshgrid(*axes, indexing="ij")
+    # The zero-dimensional start keeps one branch (no grid axis) an array.
     outer_power = sum(
-        s.a_eq * g + s.b_eq * g * np.sqrt(g) for s, g in zip(stacks[:-1], grids)
+        (s.a_eq * g + s.b_eq * g * np.sqrt(g) for s, g in zip(stacks[:-1], grids)),
+        np.zeros(()),
     )
     residual = p_req - outer_power
     eps = 1e-9 * max(1.0, abs(p_last_lo), abs(p_last_hi))

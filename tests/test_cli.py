@@ -9,7 +9,7 @@ import pytest
 from fcdispatch import build_table, dispatch
 from fcdispatch.cli import main
 
-from conftest import BENCH3_SNAPSHOTS
+from conftest import BENCH3_ROWS, BENCH3_SNAPSHOTS
 
 
 @pytest.fixture()
@@ -257,6 +257,66 @@ def test_validate_infeasible_exits_3(capsys, bench3_config):
     code, _, err = run_cli(capsys, "validate", bench3_config, "--power", "50")
     assert code == 3
     assert "Required power cannot be obtained" in err
+
+
+def write_config(tmp_path, rows) -> str:
+    """A config of single-stack branches given as (a, b, i_lb, i_ub) rows."""
+    doc = {
+        "version": "1",
+        "branches": [
+            {"stacks": [{"a": a, "b": b, "phi": 1.0}], "i_lb": lb, "i_ub": ub}
+            for a, b, lb, ub in rows
+        ],
+    }
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("power", ["5000", "7000.5", "9000"])
+def test_validate_skips_grid_without_a_feasible_point(capsys, tmp_path, power):
+    # The last branch has zero width: no point of the first branch's grid
+    # leaves it its one power within the grid's 1e-9 slack.
+    a, b = BENCH3_ROWS[0][:2]
+    config = write_config(tmp_path, [BENCH3_ROWS[1], (a, b, 50.0, 50.0)])
+    code, out, _ = run_cli(capsys, "validate", config, "--power", power)
+    assert code == 0
+    assert "grid: skipped, no feasible grid point" in out
+    assert "result: PASS" in out
+
+
+@pytest.mark.parametrize("end, factor", [("p_min", 1 - 5e-13), ("p_max", 1 + 5e-13)])
+def test_validate_single_branch_at_window_edge(capsys, tmp_path, bench3_stacks, end, factor):
+    # Half the 1e-12 relative edge slack outside the window: dispatch and
+    # lambda_bisection accept the demand, and so does the grid.
+    config = write_config(tmp_path, BENCH3_ROWS[:1])
+    power = getattr(build_table(bench3_stacks[:1]), end) * factor
+    code, out, _ = run_cli(capsys, "validate", config, "--power", repr(power))
+    assert code == 0
+    assert "grid total" in out
+    assert "result: PASS" in out
+
+
+def test_non_utf8_config_exits_2(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run_cli(capsys, "solve", str(path), "--power", "100")
+    assert code == 2
+    assert out == ""
+    assert "config error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("solve", "--power", "8000"), ("sweep", "--from", "400", "--to", "19000", "--points", "13")],
+)
+def test_unwritable_output_exits_2(capsys, tmp_path, bench3_config, argv):
+    target = str(tmp_path / "missing" / "out.txt")
+    code, out, err = run_cli(capsys, argv[0], bench3_config, *argv[1:], "--output", target)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert target in err and "config error" not in err
 
 
 def test_output_flag_writes_file(capsys, tmp_path, bench3_config):

@@ -32,7 +32,10 @@ from fcdispatch import (
     verify_kkt,
 )
 
-unit = st.floats(0.0, 1.0)
+# Seven scaled bytes, not st.floats(0.0, 1.0): Hypothesis mixes the float
+# literals of every loaded non-test module into float draws, so adding or
+# removing one anywhere would reshuffle these examples. Both ends are reachable.
+unit = st.binary(min_size=7, max_size=7).map(lambda b: int.from_bytes(b, "big") / (2**56 - 1))
 
 
 @st.composite
