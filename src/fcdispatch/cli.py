@@ -15,12 +15,7 @@ import math
 import sys
 import time
 
-from .dispatch import (
-    DispatchStatus,
-    build_table,
-    dispatch,
-    dispatch_table,
-)
+from .dispatch import DispatchStatus, build_table, dispatch, dispatch_table
 from .netconfig import ConfigError, _parse_reduced, serialize_result, sweep_to_csv
 from .reference import compare, grid_bruteforce, lambda_bisection
 
@@ -124,7 +119,8 @@ def _cmd_validate(args) -> int:
         try:
             grid = grid_bruteforce(stacks, args.power, _VALIDATE_GRID_POINTS)
         except ValueError as err:
-            # No grid point meets the demand: lambda_bisection judges alone.
+            if not str(err).startswith("no feasible grid point"):
+                raise  # only a grid without a feasible point leaves lambda_bisection alone
             lines.append(f"grid: skipped, {err}")
         else:
             t_grid = time.perf_counter() - t0
@@ -144,20 +140,23 @@ def _cmd_validate(args) -> int:
     return 0 if verdict else 4
 
 
-def _finite_float(text: str) -> float:
-    # No demand test can place a NaN, and an infinite demand would reach the
-    # JSON result as the invalid token Infinity.
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
-    return value
+def _checked(cast, ok, rule: str):
+    """An argparse type: cast the text, then require ok(value)."""
+
+    def parse(text: str):
+        value = cast(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    parse.__name__ = cast.__name__  # argparse reports "invalid float value: 'abc'"
+    return parse
 
 
-def _point_count(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"must be >= 2, got {value}")
-    return value
+# No demand test can place a NaN, and an infinite demand would reach the JSON
+# result as the invalid token Infinity.
+_finite_float = _checked(float, math.isfinite, "finite")
+_point_count = _checked(int, lambda n: n >= 2, ">= 2")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -192,8 +192,8 @@ def bench30_stacks(bench30_network):
     return reduce_network(bench30_network)
 
 
-@pytest.fixture(scope="session")
-def bench3_config_text() -> str:
+def config_text(rows) -> str:
+    """A config of single-stack, phi = 1 branches given as (a, b, i_lb, i_ub) rows."""
     import json
 
     return json.dumps(
@@ -205,10 +205,15 @@ def bench3_config_text() -> str:
                     "i_lb": lb,
                     "i_ub": ub,
                 }
-                for a, b, lb, ub in BENCH3_ROWS
+                for a, b, lb, ub in rows
             ],
         }
     )
+
+
+@pytest.fixture(scope="session")
+def bench3_config_text() -> str:
+    return config_text(BENCH3_ROWS)
 
 
 @pytest.fixture(scope="session")

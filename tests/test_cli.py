@@ -9,7 +9,7 @@ import pytest
 from fcdispatch import build_table, dispatch
 from fcdispatch.cli import main
 
-from conftest import BENCH3_ROWS, BENCH3_SNAPSHOTS
+from conftest import BENCH3_ROWS, BENCH3_SNAPSHOTS, config_text
 
 
 @pytest.fixture()
@@ -50,14 +50,8 @@ def test_plan_lists_six_points(capsys, bench3_config):
 
 
 def test_plan_single_branch(capsys, tmp_path):
-    doc = {
-        "version": "1",
-        "branches": [
-            {"stacks": [{"a": 40.0, "b": -1.0, "phi": 1.0}], "i_lb": 1.0, "i_ub": 100.0}
-        ],
-    }
     path = tmp_path / "one.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(config_text([(40.0, -1.0, 1.0, 100.0)]))
     code, out, _ = run_cli(capsys, "plan", str(path))
     assert code == 0
     assert len(out.strip().split("\n")) == 3
@@ -196,6 +190,20 @@ def test_sweep_non_finite_range_exits_2(capsys, bench3_config, bounds):
     assert "finite" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("solve", "--power", "abc"), "argument --power: invalid float value: 'abc'"),
+        (("sweep", "--from", "0", "--to", "5", "--points", "x"), "argument --points: invalid int value: 'x'"),
+    ],
+)
+def test_unparsable_number_exits_2(capsys, bench3_config, argv, message):
+    code, out, err = run_cli(capsys, argv[0], bench3_config, *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_validate_passes_benchmark(capsys, bench3_config):
     code, out, err = run_cli(capsys, "validate", bench3_config, "--power", "8000")
     assert code == 0
@@ -259,39 +267,37 @@ def test_validate_infeasible_exits_3(capsys, bench3_config):
     assert "Required power cannot be obtained" in err
 
 
-def write_config(tmp_path, rows) -> str:
-    """A config of single-stack branches given as (a, b, i_lb, i_ub) rows."""
-    doc = {
-        "version": "1",
-        "branches": [
-            {"stacks": [{"a": a, "b": b, "phi": 1.0}], "i_lb": lb, "i_ub": ub}
-            for a, b, lb, ub in rows
-        ],
-    }
-    path = tmp_path / "net.json"
-    path.write_text(json.dumps(doc))
-    return str(path)
-
-
 @pytest.mark.parametrize("power", ["5000", "7000.5", "9000"])
 def test_validate_skips_grid_without_a_feasible_point(capsys, tmp_path, power):
     # The last branch has zero width: no point of the first branch's grid
     # leaves it its one power within the grid's 1e-9 slack.
     a, b = BENCH3_ROWS[0][:2]
-    config = write_config(tmp_path, [BENCH3_ROWS[1], (a, b, 50.0, 50.0)])
-    code, out, _ = run_cli(capsys, "validate", config, "--power", power)
+    path = tmp_path / "net.json"
+    path.write_text(config_text([BENCH3_ROWS[1], (a, b, 50.0, 50.0)]))
+    code, out, _ = run_cli(capsys, "validate", str(path), "--power", power)
     assert code == 0
     assert "grid: skipped, no feasible grid point" in out
     assert "result: PASS" in out
+
+
+def test_validate_raises_other_grid_errors(monkeypatch, bench3_config):
+    # Only an infeasible grid is skipped; any other grid error is a fault.
+    def broken(*args):
+        raise ValueError("points_per_branch must be in [2, 400], got 1")
+
+    monkeypatch.setattr("fcdispatch.cli.grid_bruteforce", broken)
+    with pytest.raises(ValueError, match="points_per_branch"):
+        main(["validate", bench3_config, "--power", "8000"])
 
 
 @pytest.mark.parametrize("end, factor", [("p_min", 1 - 5e-13), ("p_max", 1 + 5e-13)])
 def test_validate_single_branch_at_window_edge(capsys, tmp_path, bench3_stacks, end, factor):
     # Half the 1e-12 relative edge slack outside the window: dispatch and
     # lambda_bisection accept the demand, and so does the grid.
-    config = write_config(tmp_path, BENCH3_ROWS[:1])
+    path = tmp_path / "one.json"
+    path.write_text(config_text(BENCH3_ROWS[:1]))
     power = getattr(build_table(bench3_stacks[:1]), end) * factor
-    code, out, _ = run_cli(capsys, "validate", config, "--power", repr(power))
+    code, out, _ = run_cli(capsys, "validate", str(path), "--power", repr(power))
     assert code == 0
     assert "grid total" in out
     assert "result: PASS" in out

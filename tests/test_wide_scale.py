@@ -32,10 +32,19 @@ from fcdispatch import (
     verify_kkt,
 )
 
-# Seven scaled bytes, not st.floats(0.0, 1.0): Hypothesis mixes the float
-# literals of every loaded non-test module into float draws, so adding or
-# removing one anywhere would reshuffle these examples. Both ends are reachable.
-unit = st.binary(min_size=7, max_size=7).map(lambda b: int.from_bytes(b, "big") / (2**56 - 1))
+# Unit values come from drawn bytes, not st.floats(0.0, 1.0): Hypothesis mixes
+# the float literals of every loaded non-test module into float draws, so adding
+# or removing one anywhere would reshuffle these examples. No module defines
+# bytes literals. A leading byte picks an end at the rates st.floats drew them
+# here (0.0 in 16/256 draws, 1.0 in 5/256), so i_lb = 0, phi = 1, b = -10 and
+# demands at p_min and p_max stay common; otherwise seven bytes scale onto [0, 1].
+def _unit(raw: bytes) -> float:
+    if raw[0] < 21:
+        return float(raw[0] >= 16)
+    return int.from_bytes(raw[1:], "big") / (2**56 - 1)
+
+
+unit = st.binary(min_size=8, max_size=8).map(_unit)
 
 
 @st.composite
