@@ -16,7 +16,7 @@ import sys
 import time
 
 from .dispatch import DispatchStatus, build_table, dispatch, dispatch_table
-from .netconfig import ConfigError, _parse_reduced, serialize_result, sweep_to_csv
+from .netconfig import _INFEASIBLE_MESSAGE, ConfigError, _parse_reduced, serialize_result, sweep_to_csv
 from .reference import compare, grid_bruteforce, lambda_bisection
 
 _VALIDATE_TOL_CURRENT = 1e-3  # amperes, per branch
@@ -66,7 +66,7 @@ def _cmd_solve(args) -> int:
     _emit(serialize_result(result), args.output)
     if result.status is not DispatchStatus.OPTIMAL:
         print(
-            f"Required power cannot be obtained: feasible range is "
+            f"{_INFEASIBLE_MESSAGE}: feasible range is "
             f"[{result.feasible_range[0]:.3f}, {result.feasible_range[1]:.3f}] W",
             file=sys.stderr,
         )
@@ -93,7 +93,7 @@ def _cmd_validate(args) -> int:
     result = dispatch(stacks, args.power)
     t_dispatch = time.perf_counter() - t0
     if result.status is not DispatchStatus.OPTIMAL:
-        print("Required power cannot be obtained", file=sys.stderr)
+        print(_INFEASIBLE_MESSAGE, file=sys.stderr)
         return 3
 
     t0 = time.perf_counter()

@@ -19,10 +19,10 @@ their direct sums; a demand equal to a breakpoint's direct power gets the
 zero-width window at that point's level. The branches pinned at a bound,
 found by bisecting the level-ordered indices, are subtracted out; in an open
 window the interior ones are solved for the common marginal level mu by one
-bracketed level solve: safeguarded Newton-bisection steps on the interior
-power's summed cubic in mu seed the same steps on the direct per-branch sum,
-inside the window, until the residual is within the rounding error of the
-power sum. Every result is assembled from locate_segment's split at mu,
+safeguarded Newton-bisection loop inside the window, run first on the
+interior power's summed cubic in mu and then, from that seed, on the direct
+per-branch sum until the residual is within the rounding error of the power
+sum. Every result is assembled from locate_segment's split at mu,
 looping in Python only over the interior branches and those at their lower
 bound. The paper's three-candidate cubic in the reference branch's
 sqrt-current (solve_segment_sqrt, which alone calls poly_roots, and
@@ -448,11 +448,7 @@ def locate_segment(table: DispatchTable, p_req: float) -> ActiveSets:
             hit = direct == p_scan
             break
         n += 1
-    high = n if hit else n - 1
-    return _classify(table, mu_high=points[high].mu, mu_low=points[n].mu, p_req=p_req)
-
-
-def _classify(table: DispatchTable, mu_high: float, mu_low: float, p_req: float) -> ActiveSets:
+    mu_high, mu_low = points[n if hit else n - 1].mu, points[n].mu
     cols = table._columns
     at_lb, at_ub, interior = _split(cols, mu_high, mu_low)
     # The pinned power in branch order, as a loop over the branches would
@@ -620,9 +616,9 @@ def _solve_level(
     # the same steps on the unexpanded per-branch sum, whose slope is
     # 2*mu*sum(u_j*x_j). Power falls as mu rises, so every residual sign
     # narrows the bracket, and a step that would leave it (or a zero slope)
-    # bisects instead. The solve stops once a residual says nothing more
-    # about mu. Every term is positive below the power peak, so
-    # gap + p_req_eff is their sum, and floor times it bounds the sum's
+    # bisects instead. The direct stage stops once its residual f says
+    # nothing more about mu. Every term is positive below the power peak, so
+    # f + p_req_eff is their sum, and floor times it bounds the sum's
     # rounding error: n additions plus the 6 roundings of each term
     # (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
     # ch. 4). The residual must also be within floor of slope*mu, so that
@@ -641,47 +637,36 @@ def _solve_level(
     lines = [line[j] for j in interior]
     floor = _EPS * (len(lines) + 6)
 
-    # The seed's steps keep their own copy of the bracket: rounding can give
-    # the cubic one sign over the whole window, and the seed then bisects to
-    # a window end, where the direct passes take over.
-    left, right = lo, hi
+    # Each stage starts from the whole window: rounding can give the cubic
+    # one sign over it, and the seed then bisects to a window end.
     mu = 0.5 * (lo + hi)
-    for _ in range(_MAX_ITER):
-        f = ((c3 * mu + c2) * mu + c1) * mu + c0
-        if f > 0.0:
-            left = mu
-        else:
-            right = mu
-        df = (3.0 * c3 * mu + 2.0 * c2) * mu + c1
-        nxt = mu - f / df if df else math.nan
-        if nxt == mu:
-            break
-        if not left < nxt < right:
-            nxt = 0.5 * (left + right)
-            if nxt == left or nxt == right:
+    for direct in (False, True):
+        left, right = lo, hi
+        for passes in range(1, _MAX_ITER + 1):
+            if direct:
+                f, df = -p_req_eff, 0.0
+                for u, v, a, b in lines:
+                    x = u * mu + v
+                    f += (a + b * x) * x * x
+                    df += u * x
+                df *= 2.0 * mu
+                if abs(f) <= floor * min(f + p_req_eff, abs(df * mu)):
+                    break
+            else:
+                f = ((c3 * mu + c2) * mu + c1) * mu + c0
+                df = (3.0 * c3 * mu + 2.0 * c2) * mu + c1
+            if f > 0.0:
+                left = mu
+            else:
+                right = mu
+            nxt = mu - f / df if df else math.nan
+            if nxt == mu:
                 break
-        mu = nxt
-    for passes in range(1, _MAX_ITER + 1):
-        gap, slope = -p_req_eff, 0.0
-        for u, v, a, b in lines:
-            x = u * mu + v
-            gap += (a + b * x) * x * x
-            slope += u * x
-        slope *= 2.0 * mu
-        if abs(gap) <= floor * min(gap + p_req_eff, abs(slope * mu)):
-            break
-        if gap > 0.0:
-            lo = mu
-        else:
-            hi = mu
-        nxt = mu - gap / slope if slope else math.nan
-        if nxt == mu:
-            break
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-            if nxt == lo or nxt == hi:
-                break
-        mu = nxt
+            if not left < nxt < right:
+                nxt = 0.5 * (left + right)
+                if nxt == left or nxt == right:
+                    break
+            mu = nxt
     return mu, passes
 
 

@@ -12,6 +12,9 @@ hold them to those methods bit for bit, and count the calls a solve makes.
 import importlib
 import math
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -398,3 +401,33 @@ def test_online_solve_splits_the_branches_once(monkeypatch, bench3_network, benc
             assert len(calls) == 1 + at_end
             solves += 1
     assert solves > 1000
+
+
+def test_a_table_shared_across_threads_solves_as_fresh_tables_do():
+    # A table fills its cache of breakpoint powers while it solves. Four
+    # threads, two of them in reverse order, start together on one table;
+    # each result must be the one a fresh table gives for that demand.
+    table = build_table(reduce_network(make_random_network(np.random.default_rng(7), 60)))
+    levels = [pt.mu for pt in table.points]
+    demands = [direct_power(table, mu) for mu in levels]
+    demands += [direct_power(table, 0.5 * (a + b)) for a, b in zip(levels, levels[1:])]
+    expected = [dispatch_table(build_table(table.stacks), p) for p in demands]
+    start = threading.Barrier(4)
+
+    def solve_all(order):
+        start.wait(timeout=60)
+        return {k: dispatch_table(table, demands[k]) for k in order}
+
+    forward = range(len(demands))
+    orders = [forward, forward[::-1], forward, forward[::-1]]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            solved = list(pool.map(solve_all, orders, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for results in solved:
+        assert [results[k] for k in forward] == expected
+    fresh = build_table(table.stacks)
+    assert table._direct == {mu: fresh._direct_power(mu) for mu in table._direct}
