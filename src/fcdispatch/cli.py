@@ -1,7 +1,8 @@
 """Command-line front end: plan, solve, sweep, validate.
 
 Exit codes: 0 success; 2 bad argument (a NaN or infinite --power/--from/--to,
---points below 2 and --to below --from included), config error (unreadable,
+--points below 2, --to below --from and a --to minus --from beyond the float
+range included), config error (unreadable,
 not UTF-8, malformed or invalid) or unwritable --output, with stdout empty;
 3 infeasible demand; 4 validation mismatch. Data goes to stdout (or --output);
 diagnostics and timings go to stderr so repeated invocations stay
@@ -77,6 +78,10 @@ def _cmd_solve(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.p_to < args.p_from:
         print("sweep: --to must be >= --from", file=sys.stderr)
+        return 2
+    if not math.isfinite(args.p_to - args.p_from):
+        # The grid's step would be infinite, and its first demand 0*inf.
+        print("sweep: --to minus --from must be finite", file=sys.stderr)
         return 2
     table = build_table(_load_stacks(args.config))
     step = (args.p_to - args.p_from) / (args.points - 1)

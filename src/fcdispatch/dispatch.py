@@ -17,17 +17,21 @@ Online, a demand is bracketed between two consecutive breakpoints by
 bisecting those powers and confirming the few within _EDGE_RTOL of it by
 their direct sums; a demand equal to a breakpoint's direct power gets the
 zero-width window at that point's level. The branches pinned at a bound,
-found by bisecting the level-ordered indices, are subtracted out; in an open
-window the interior ones are solved for the common marginal level mu by one
-safeguarded Newton-bisection loop inside the window, run first on the
-interior power's summed cubic in mu and then, from that seed, on the direct
-per-branch sum until the residual is within the rounding error of the power
-sum. Every result is assembled from locate_segment's split at mu,
-looping in Python only over the interior branches and those at their lower
-bound. The paper's three-candidate cubic in the reference branch's
-sqrt-current (solve_segment_sqrt, which alone calls poly_roots, and
-select_feasible_root) and a model-agnostic bisection on the level
-(solve_segment_numeric) remain as public cross-checks.
+found by bisecting the level-ordered indices, are subtracted out. What a
+window gives a solve besides its levels (this split, the pinned currents and
+power, the interior's summed cubic) does not depend on the demand, so the
+table keeps it for the last window located, and consecutive demands in one
+window, as a sweep or a slowly moving control loop makes them, reuse it. In
+an open window the interior branches are solved for the common marginal
+level mu by one safeguarded Newton-bisection loop inside the window, run
+first on the interior power's summed cubic in mu and then, from that seed,
+on the direct per-branch sum until the residual is within the rounding error
+of the power sum. Every result is assembled from locate_segment's split at
+mu, looping in Python only over the interior branches once the window's
+pinned currents are known. The paper's three-candidate cubic in the
+reference branch's sqrt-current (solve_segment_sqrt, which alone calls
+poly_roots, and select_feasible_root) and a model-agnostic bisection on the
+level (solve_segment_numeric) remain as public cross-checks.
 
 At the optimum every interior branch runs at the same dP/dI (the marginal
 level mu); branches at their lower bound have a steeper affordable marginal
@@ -141,6 +145,27 @@ class _Columns(NamedTuple):
     ub_key: list[float]
 
 
+class _Window(NamedTuple):
+    # What a solve needs of a located window that does not depend on the
+    # demand, keyed by the window's levels: the split, the currents and
+    # powers of the pinned branches (_pinned) and their power summed in
+    # branch order, and for an open window's level solve, over the interior
+    # in ascending order, its lines, its cubic's running sums c3, c2, c1
+    # and its t0 terms, which c0 adds to -p_req_eff in that order.
+    mu_high: float
+    mu_low: float
+    at_lb: frozenset[int]
+    interior: frozenset[int]
+    at_ub: frozenset[int]
+    fixed: tuple[list[float], list[float]]
+    pinned: float
+    lines: list
+    c3: float
+    c2: float
+    c1: float
+    t0: list[float]
+
+
 @dataclass(frozen=True)
 class DispatchTable:
     """Offline product: breakpoints sorted by decreasing marginal level.
@@ -152,6 +177,12 @@ class DispatchTable:
     the model's definitions, which the columns reproduce bit for bit. A
     breakpoint's result, like any other, is assembled from locate_segment's
     split: a zero-width window at the breakpoint's level.
+
+    Solving fills two private states, also left out of equality and repr:
+    a cache of the direct power at each breakpoint level, and a record of
+    the last located window (_Window). Each is written with one assignment
+    of a value that any caller would compute, so a table can be shared
+    across threads.
     """
 
     stacks: tuple[EquivalentStack, ...]
@@ -161,6 +192,9 @@ class DispatchTable:
     _columns: _Columns = field(repr=False, compare=False)
     # Direct network power per breakpoint level, filled by locate_segment.
     _direct: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # The last located window's record, replaced by locate_segment with one
+    # assignment when a demand lands in another window.
+    _window: _Window | None = field(default=None, init=False, repr=False, compare=False)
 
     def currents_at(self, mu: float) -> tuple[float, ...]:
         """Every branch's current when the network runs at marginal level mu.
@@ -190,18 +224,31 @@ def _split(cols: _Columns, mu_high: float, mu_low: float) -> tuple[list[int], se
     return cols.lb_order[k:], at_ub, interior
 
 
-def _assemble(
-    cols: _Columns, mu: float, at_lb: Iterable[int], interior: Iterable[int]
+def _pinned(
+    cols: _Columns, at_lb: Iterable[int], interior: Iterable[int]
 ) -> tuple[list[float], list[float]]:
-    # Every branch's current and power at level mu, in branch order, for a
-    # split of the branches at mu: the upper-bound columns, the lower-bound
-    # ones over at_lb, and inverse_marginal's and power's expressions, float
-    # op for float op, over the interior.
+    # Every pinned branch's current and power, in branch order, for a split
+    # of the branches: the upper-bound columns, and the lower-bound ones
+    # over at_lb. An interior branch's power is 0.0, so the powers add up to
+    # the pinned power; its current is _assemble's to fill in.
     currents, powers = cols.i_ub.copy(), cols.p_ub.copy()
-    i_lb, p_lb, line = cols.i_lb, cols.p_lb, cols.line
+    i_lb, p_lb = cols.i_lb, cols.p_lb
     for j in at_lb:
         currents[j] = i_lb[j]
         powers[j] = p_lb[j]
+    for j in interior:
+        powers[j] = 0.0
+    return currents, powers
+
+
+def _assemble(
+    cols: _Columns, mu: float, pinned: tuple[list[float], list[float]], interior: Iterable[int]
+) -> tuple[list[float], list[float]]:
+    # Every branch's current and power at level mu, in branch order: the
+    # pinned ones of the split at mu, and inverse_marginal's and power's
+    # expressions, float op for float op, over its interior.
+    currents, powers = pinned[0].copy(), pinned[1].copy()
+    line = cols.line
     for j in interior:
         _, _, a, b = line[j]
         x = (mu - a) / (1.5 * b)
@@ -214,7 +261,7 @@ def _assemble(
 def _at_level(cols: _Columns, mu: float) -> tuple[list[float], list[float]]:
     # Every branch's current at level mu and its power, in branch order.
     at_lb, _, interior = _split(cols, mu, mu)
-    return _assemble(cols, mu, at_lb, interior)
+    return _assemble(cols, mu, _pinned(cols, at_lb, interior), interior)
 
 
 @dataclass(frozen=True)
@@ -427,7 +474,20 @@ def locate_segment(table: DispatchTable, p_req: float) -> ActiveSets:
     resolved by their direct power, computed once per table. That is the
     linear scan over direct powers, even where two adjacent direct powers
     decrease by rounding.
+
+    The split depends on the window alone, so the table keeps a record of
+    the last window located, replaced when a demand lands in another one. A
+    demand in the same window as the one before it takes the split and the
+    pinned power from that record, and its sets share the record's
+    frozensets; the bracket is still found and confirmed as above.
     """
+    return _locate(table, p_req)[0]
+
+
+def _locate(table: DispatchTable, p_req: float) -> tuple[ActiveSets, _Window]:
+    # locate_segment, plus the window's record that its sets come from. A
+    # caller solves with this record, never with a second read of the slot,
+    # which another thread may have replaced in between.
     if math.isnan(p_req) or p_req < table.p_min - _EDGE_RTOL * max(1.0, abs(table.p_min)):
         raise InfeasibleDemandError(
             DispatchStatus.INFEASIBLE_LOW, p_req, table.p_min, table.p_max
@@ -449,24 +509,41 @@ def locate_segment(table: DispatchTable, p_req: float) -> ActiveSets:
             break
         n += 1
     mu_high, mu_low = points[n if hit else n - 1].mu, points[n].mu
-    cols = table._columns
-    at_lb, at_ub, interior = _split(cols, mu_high, mu_low)
-    # The pinned power in branch order, as a loop over the branches would
-    # add it: 0.0 in place of an interior branch adds nothing.
-    fixed = cols.p_ub.copy()
-    p_lb = cols.p_lb
-    for j in at_lb:
-        fixed[j] = p_lb[j]
-    for j in interior:
-        fixed[j] = 0.0
-    return ActiveSets(
-        at_lb=frozenset(at_lb),
-        interior=frozenset(interior),
-        at_ub=frozenset(at_ub),
-        p_req_eff=p_req - sum(fixed),
+    window = table._window
+    if window is None or window.mu_high != mu_high or window.mu_low != mu_low:
+        cols = table._columns
+        at_lb, at_ub, interior = _split(cols, mu_high, mu_low)
+        fixed = _pinned(cols, at_lb, interior)
+        lines, t0s = [], []
+        c3 = c2 = c1 = 0.0
+        if mu_low < mu_high:
+            line, cubic = cols.line, cols.cubic
+            for j in sorted(interior):
+                t3, t2, t1, t0 = cubic[j]
+                c3 += t3
+                c2 += t2
+                c1 += t1
+                t0s.append(t0)
+                lines.append(line[j])
+        # The pinned power is summed in branch order, as a loop over the
+        # branches would add it: 0.0 in place of an interior branch adds
+        # nothing. tuple.__new__ builds the NamedTuple without its generated
+        # __new__, whose Python frame would double the cost of every miss's
+        # construction.
+        window = tuple.__new__(_Window, (
+            mu_high, mu_low, frozenset(at_lb), frozenset(interior), frozenset(at_ub),
+            fixed, sum(fixed[1]), lines, c3, c2, c1, t0s,
+        ))
+        object.__setattr__(table, "_window", window)
+    sets = ActiveSets(
+        at_lb=window.at_lb,
+        interior=window.interior,
+        at_ub=window.at_ub,
+        p_req_eff=p_req - window.pinned,
         mu_high=mu_high,
         mu_low=mu_low,
     )
+    return sets, window
 
 
 def solve_segment_sqrt(
@@ -605,13 +682,11 @@ def solve_segment_numeric(
     return currents
 
 
-def _solve_level(
-    cols: _Columns, interior: Sequence[int], p_req_eff: float, lo: float, hi: float
-) -> tuple[float, int]:
-    # Common marginal level of the interior branches (ascending indices),
-    # inside the segment's window [lo, hi], and the number of direct passes
-    # it took. With x_j = u_j*mu + v_j (cols.line) the interior power is a
-    # cubic in mu, the sum of cols.cubic. The window brackets its one root
+def _solve_level(window: _Window, p_req_eff: float, lo: float, hi: float) -> tuple[float, int]:
+    # Common marginal level of the window's interior branches, inside the
+    # segment's window [lo, hi], and the number of direct passes it took.
+    # With x_j = u_j*mu + v_j (window.lines) the interior power is a cubic
+    # in mu, the sum of their cubic terms. The window brackets its one root
     # there, so Newton steps on the cubic's Horner form find it, and seed
     # the same steps on the unexpanded per-branch sum, whose slope is
     # 2*mu*sum(u_j*x_j). Power falls as mu rises, so every residual sign
@@ -625,16 +700,10 @@ def _solve_level(
     # the Newton step it implies is within floor of mu: near a power peak
     # the power is flat in mu, and a residual at the floor can still leave
     # mu far off.
-    line, cubic = cols.line, cols.cubic
-    c3 = c2 = c1 = 0.0
+    lines, c3, c2, c1 = window.lines, window.c3, window.c2, window.c1
     c0 = -p_req_eff
-    for j in interior:
-        t3, t2, t1, t0 = cubic[j]
-        c3 += t3
-        c2 += t2
-        c1 += t1
+    for t0 in window.t0:
         c0 += t0
-    lines = [line[j] for j in interior]
     floor = _EPS * (len(lines) + 6)
 
     # Each stage starts from the whole window: rounding can give the cubic
@@ -673,7 +742,7 @@ def _solve_level(
 def dispatch_table(table: DispatchTable, p_req: float) -> DispatchResult:
     """Online solve against a prebuilt table (shareable across demands)."""
     try:
-        sets = locate_segment(table, p_req)
+        sets, window = _locate(table, p_req)
     except InfeasibleDemandError as err:
         return DispatchResult(
             status=err.status, p_req=p_req, feasible_range=err.feasible_range
@@ -681,19 +750,19 @@ def dispatch_table(table: DispatchTable, p_req: float) -> DispatchResult:
 
     # A breakpoint's zero-width window needs no solve: its level is exact.
     cols = table._columns
-    at_lb, interior, mu = sets.at_lb, sets.interior, sets.mu_low
+    fixed, interior, mu = window.fixed, window.interior, sets.mu_low
     if mu < sets.mu_high:
         # Power is a function of the level, so some branch changes across
         # an open window. It is interior unless its two bound levels round
         # to one float; the solve then only bisects towards a window end.
-        interior = sorted(interior)
-        mu = _solve_level(cols, interior, sets.p_req_eff, mu, sets.mu_high)[0]
+        mu = _solve_level(window, sets.p_req_eff, mu, sets.mu_high)[0]
         if not sets.mu_low < mu < sets.mu_high:
             # At a window end, a branch whose bound level is that end sits
             # at the bound. Strictly inside, no bound level lies in the
             # window, so the branches split at mu as over the window.
             at_lb, _, interior = _split(cols, mu, mu)
-    currents, powers = _assemble(cols, mu, at_lb, interior)
+            fixed = _pinned(cols, at_lb, interior)
+    currents, powers = _assemble(cols, mu, fixed, interior)
     total_power = sum(powers)
     if abs(total_power - p_req) > _POWER_RTOL * max(1.0, abs(p_req)):
         raise SegmentSolveError(

@@ -29,16 +29,26 @@ class ConfigError(ValueError):
     """A config document is malformed or violates a network invariant."""
 
 
-def _require(obj: dict, key: str, where: str) -> Any:
+def _where(j: int | None, k: int | None) -> str:
+    # The location of branch j's stack k (of branch j for k None, of the
+    # document for j None), formatted only for a value that raises.
+    if j is None:
+        return "document"
+    return f"branches[{j}]" if k is None else f"branches[{j}].stacks[{k}]"
+
+
+def _require(obj: dict, key: str, j: int | None = None, k: int | None = None) -> Any:
     if key not in obj:
-        raise ConfigError(f"{where}: missing required key {key!r}")
+        raise ConfigError(f"{_where(j, k)}: missing required key {key!r}")
     return obj[key]
 
 
-def _number(value: Any, where: str) -> float:
-    # Integers parse as floats, so any literal beyond the float range is inf.
+def _number(obj: dict, key: str, j: int, k: int | None = None) -> float:
+    # obj[key], a finite number. Integers parse as floats, so any literal
+    # beyond the float range is inf.
+    value = _require(obj, key, j, k)
     if not isinstance(value, float) or not math.isfinite(value):
-        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+        raise ConfigError(f"{_where(j, k)}.{key}: expected a finite number, got {value!r}")
     return value
 
 
@@ -47,10 +57,10 @@ def _non_json_constant(token: str) -> float:
     raise ConfigError(f"invalid JSON: {token} is not a number")
 
 
-def _upper_bound(value: Any, where: str) -> float:
-    if value == "inf":
+def _upper_bound(obj: dict, key: str, j: int) -> float:
+    if obj.get(key) == "inf":
         return math.inf
-    return _number(value, where)
+    return _number(obj, key, j)
 
 
 def parse_network(text: str) -> Network:
@@ -68,39 +78,37 @@ def _parse_reduced(text: str) -> tuple[Network, tuple[EquivalentStack, ...]]:
     if not isinstance(doc, dict):
         raise ConfigError("top level must be an object")
 
-    version = _require(doc, "version", "document")
+    version = _require(doc, "version")
     if not isinstance(version, str):
         raise ConfigError(f"document: version must be a string, got {version!r}")
 
-    raw_branches = _require(doc, "branches", "document")
+    raw_branches = _require(doc, "branches")
     if not isinstance(raw_branches, list) or not raw_branches:
         raise ConfigError("document: branches must be a nonempty array")
 
     branches = []
     for j, raw in enumerate(raw_branches):
-        where = f"branches[{j}]"
         if not isinstance(raw, dict):
-            raise ConfigError(f"{where}: expected an object")
-        raw_stacks = _require(raw, "stacks", where)
+            raise ConfigError(f"branches[{j}]: expected an object")
+        raw_stacks = _require(raw, "stacks", j)
         if not isinstance(raw_stacks, list) or not raw_stacks:
-            raise ConfigError(f"{where}: stacks must be a nonempty array")
+            raise ConfigError(f"branches[{j}]: stacks must be a nonempty array")
         stacks = []
         for k, raw_stack in enumerate(raw_stacks):
-            s_where = f"{where}.stacks[{k}]"
             if not isinstance(raw_stack, dict):
-                raise ConfigError(f"{s_where}: expected an object")
+                raise ConfigError(f"branches[{j}].stacks[{k}]: expected an object")
             stacks.append(
                 SqrtStackParams(
-                    a=_number(_require(raw_stack, "a", s_where), f"{s_where}.a"),
-                    b=_number(_require(raw_stack, "b", s_where), f"{s_where}.b"),
-                    phi=_number(_require(raw_stack, "phi", s_where), f"{s_where}.phi"),
+                    a=_number(raw_stack, "a", j, k),
+                    b=_number(raw_stack, "b", j, k),
+                    phi=_number(raw_stack, "phi", j, k),
                 )
             )
         branches.append(
             BranchSpec(
                 stacks=tuple(stacks),
-                i_lb=_number(_require(raw, "i_lb", where), f"{where}.i_lb"),
-                i_ub=_upper_bound(_require(raw, "i_ub", where), f"{where}.i_ub"),
+                i_lb=_number(raw, "i_lb", j),
+                i_ub=_upper_bound(raw, "i_ub", j),
             )
         )
 

@@ -111,25 +111,35 @@ def effective_upper_bound(a_eq: float, b_eq: float, i_ub: float) -> float:
     return min(i_ub, x_peak * x_peak)
 
 
-def _check_stack(stack: SqrtStackParams, where: str) -> None:
+def _stack_problem(stack: SqrtStackParams) -> str | None:
     if not (stack.a >= 0.0 and math.isfinite(stack.a)):
-        raise NetworkValidationError(f"{where}: a must be finite and >= 0, got {stack.a}")
+        return f"a must be finite and >= 0, got {stack.a}"
     if not (stack.b < 0.0 and math.isfinite(stack.b)):
-        raise NetworkValidationError(f"{where}: b must be finite and < 0, got {stack.b}")
+        return f"b must be finite and < 0, got {stack.b}"
     if not (0.0 < stack.phi <= 1.0):
-        raise NetworkValidationError(f"{where}: phi must be in (0, 1], got {stack.phi}")
+        return f"phi must be in (0, 1], got {stack.phi}"
+    return None
 
 
-def _check_branch(branch: BranchSpec, where: str) -> None:
+def _where(index: int | None) -> str:
+    # A branch's location in messages, formatted only for one that raises.
+    return "branch" if index is None else f"branches[{index}]"
+
+
+def _check_branch(branch: BranchSpec, index: int | None) -> None:
     if not branch.stacks:
-        raise NetworkValidationError(f"{where}: branch has no stacks")
+        raise NetworkValidationError(f"{_where(index)}: branch has no stacks")
     for k, stack in enumerate(branch.stacks):
-        _check_stack(stack, f"{where}.stacks[{k}]")
+        problem = _stack_problem(stack)
+        if problem is not None:
+            raise NetworkValidationError(f"{_where(index)}.stacks[{k}]: {problem}")
     if not (branch.i_lb >= 0.0 and math.isfinite(branch.i_lb)):
-        raise NetworkValidationError(f"{where}: i_lb must be finite and >= 0, got {branch.i_lb}")
+        raise NetworkValidationError(
+            f"{_where(index)}: i_lb must be finite and >= 0, got {branch.i_lb}"
+        )
     if math.isnan(branch.i_ub) or branch.i_ub < branch.i_lb:
         raise NetworkValidationError(
-            f"{where}: need i_lb <= i_ub, got i_lb={branch.i_lb}, i_ub={branch.i_ub}"
+            f"{_where(index)}: need i_lb <= i_ub, got i_lb={branch.i_lb}, i_ub={branch.i_ub}"
         )
 
 
@@ -139,15 +149,14 @@ def reduce_branch(branch: BranchSpec, index: int | None = None) -> EquivalentSta
     a_eq and b_eq are the phi-weighted coefficient sums, which preserves
     branch power identically for every current.
     """
-    where = "branch" if index is None else f"branches[{index}]"
-    _check_branch(branch, where)
+    _check_branch(branch, index)
     a_eq = sum(s.phi * s.a for s in branch.stacks)
     b_eq = sum(s.phi * s.b for s in branch.stacks)
     i_ub_eff = effective_upper_bound(a_eq, b_eq, branch.i_ub)
     if i_ub_eff < branch.i_lb:
         # Power would be decreasing over the whole allowed range.
         raise NetworkValidationError(
-            f"{where}: power peaks at {i_ub_eff:.6g} A, below i_lb={branch.i_lb}"
+            f"{_where(index)}: power peaks at {i_ub_eff:.6g} A, below i_lb={branch.i_lb}"
         )
     return EquivalentStack(
         a_eq=a_eq, b_eq=b_eq, i_lb=branch.i_lb, i_ub=branch.i_ub, i_ub_eff=i_ub_eff

@@ -33,7 +33,7 @@ from fcdispatch import (
     reduce_network,
     verify_kkt,
 )
-from fcdispatch.dispatch import _EDGE_RTOL, _POWER_RTOL, _solve_level
+from fcdispatch.dispatch import _EDGE_RTOL, _POWER_RTOL, _locate, _solve_level
 
 from conftest import OPEN_WINDOW_NETWORK, direct_power, make_random_network, make_wide_network
 
@@ -244,7 +244,7 @@ def test_dispatch_table_result_at_a_window_end_is_the_model_at_its_level(
     # A level solve that lands on a window end. The demands are one float
     # off a breakpoint's direct power, on the side whose window ends there;
     # the end is kept where its power meets the demand.
-    def at_end(cols, interior, p_req_eff, lo, hi):
+    def at_end(window, p_req_eff, lo, hi):
         return (lo if end == "mu_low" else hi), 0
 
     # The package exports a function named dispatch, which shadows the module.
@@ -288,11 +288,11 @@ def test_level_solve_stops_at_its_rounding_floor(name, request):
         levels = [pt.mu for pt in table.points]
         stride = 10 if len(table.stacks) >= 1000 else 1
         for k in range(0, len(levels) - 1, stride):
-            sets = locate_segment(table, direct_power(table, 0.5 * (levels[k] + levels[k + 1])))
+            sets, window = _locate(table, direct_power(table, 0.5 * (levels[k] + levels[k + 1])))
             if not sets.mu_low < sets.mu_high:
                 continue
             interior = sorted(sets.interior)
-            mu, n = _solve_level(cols, interior, sets.p_req_eff, sets.mu_low, sets.mu_high)
+            mu, n = _solve_level(window, sets.p_req_eff, sets.mu_low, sets.mu_high)
             power = slope = 0.0
             for u, v, a, b in (cols.line[j] for j in interior):
                 x = u * mu + v
@@ -354,13 +354,13 @@ def test_level_solve_seed_stays_in_the_window_when_the_cubic_has_one_sign():
     p = table.p_max
     for _ in range(3):
         p = math.nextafter(p, -math.inf)
-        sets = locate_segment(table, p)
+        sets, window = _locate(table, p)
         lo, hi = sets.mu_low, sets.mu_high
         c3, c2, c1, c0 = (sum(terms) for terms in zip(*(cols.cubic[j] for j in sets.interior)))
         c0 -= sets.p_req_eff
         assert ((c3 * lo + c2) * lo + c1) * lo + c0 < 0.0
         assert ((c3 * hi + c2) * hi + c1) * hi + c0 < 0.0
-        mu, _ = _solve_level(cols, sorted(sets.interior), sets.p_req_eff, lo, hi)
+        mu, _ = _solve_level(window, sets.p_req_eff, lo, hi)
         assert lo <= mu <= hi
         result = dispatch_table(table, p)
         assert result.status is DispatchStatus.OPTIMAL
@@ -370,9 +370,12 @@ def test_level_solve_seed_stays_in_the_window_when_the_cubic_has_one_sign():
 
 def test_online_solve_splits_the_branches_once(monkeypatch, bench3_network, bench30_network):
     # locate_segment's split serves the result, a breakpoint's zero-width
-    # window included; only a level that lands on an open window's end
-    # splits the branches again. The first pass fills the table's cache of
-    # breakpoint powers, so the second counts the solve alone.
+    # window included, and the table keeps it for the next demand in the
+    # same window: a solve splits the branches once when its window is not
+    # the previous solve's, and not at all when it is. Only a level that
+    # lands on an open window's end splits them again. The first pass fills
+    # the table's cache of breakpoint powers, so the second counts the solve
+    # alone.
     module = importlib.import_module("fcdispatch.dispatch")
     split = module._split
     calls = []
@@ -392,25 +395,89 @@ def test_online_solve_splits_the_branches_once(monkeypatch, bench3_network, benc
         demands = [direct_power(table, mu) for mu in levels]
         demands += [direct_power(table, 0.5 * (a + b)) for a, b in zip(levels, levels[1:])]
         for p in demands:
-            dispatch_table(table, p)
+            previous = dispatch_table(table, p).sets
         for p in demands:
             calls.clear()
             result = dispatch_table(table, p)
             sets = result.sets
+            moved = (sets.mu_high, sets.mu_low) != (previous.mu_high, previous.mu_low)
             at_end = sets.mu_low < sets.mu_high and not sets.mu_low < result.mu < sets.mu_high
-            assert len(calls) == 1 + at_end
+            assert len(calls) == moved + at_end
+            previous = sets
             solves += 1
     assert solves > 1000
 
 
+def ascending_sweep(table, points):
+    """The CLI's demand grid over the table's power window."""
+    step = (table.p_max - table.p_min) / (points - 1)
+    return [table.p_min + k * step for k in range(points - 1)] + [table.p_max]
+
+
+@pytest.mark.parametrize("name", ["bench3", "bench30", "random60"])
+def test_a_sweep_splits_once_per_window_and_solves_as_fresh_tables_do(
+    name, request, monkeypatch
+):
+    # An ascending sweep walks the windows in order, several demands in
+    # each. The table keeps the last window's split, so the branches are
+    # split once per window the sweep enters (and once more where a level
+    # lands on an open window's end), and every result is the one a fresh
+    # table gives for that demand alone. An infeasible demand in the middle
+    # locates no window and leaves the kept one as it was.
+    if name == "random60":
+        network = make_random_network(np.random.default_rng(7), 60)
+    else:
+        network = request.getfixturevalue(f"{name}_network")
+    stacks = reduce_network(network)
+    table = build_table(stacks)
+    demands = ascending_sweep(table, 600)
+    middle = len(demands) // 2
+    infeasible = [table.p_min - 1.0, table.p_max + 1.0, math.nan]
+    demands[middle:middle] = infeasible
+    expected = [dispatch_table(build_table(stacks), p) for p in demands]
+    for pt in table.points:
+        table._direct_power(pt.mu)  # fill the breakpoint cache before counting
+
+    module = importlib.import_module("fcdispatch.dispatch")
+    split = module._split
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return split(*args)
+
+    monkeypatch.setattr(module, "_split", counting)
+    windows, at_end = set(), 0
+    for k, p in enumerate(demands):
+        kept = table._window
+        result = dispatch_table(table, p)
+        if middle <= k < middle + len(infeasible):
+            assert result.status is not DispatchStatus.OPTIMAL
+            assert table._window is kept
+            assert result.status == expected[k].status
+            assert result.feasible_range == expected[k].feasible_range
+            continue
+        assert result == expected[k]
+        sets = result.sets
+        windows.add((sets.mu_high, sets.mu_low))
+        at_end += sets.mu_low < sets.mu_high and not sets.mu_low < result.mu < sets.mu_high
+    assert len(calls) == len(windows) + at_end
+    assert len(demands) >= 3 * len(windows)
+
+
 def test_a_table_shared_across_threads_solves_as_fresh_tables_do():
-    # A table fills its cache of breakpoint powers while it solves. Four
-    # threads, two of them in reverse order, start together on one table;
-    # each result must be the one a fresh table gives for that demand.
+    # A table fills its cache of breakpoint powers and replaces its last
+    # window's record while it solves. Four threads, two of them in reverse
+    # order, start together on one table; each result must be the one a
+    # fresh table gives for that demand. The breakpoints and midpoints change
+    # window on every solve; the sweep after them stays several demands in
+    # each window, so one thread's reuse of the record interleaves with
+    # another's replacing it.
     table = build_table(reduce_network(make_random_network(np.random.default_rng(7), 60)))
     levels = [pt.mu for pt in table.points]
     demands = [direct_power(table, mu) for mu in levels]
     demands += [direct_power(table, 0.5 * (a + b)) for a, b in zip(levels, levels[1:])]
+    demands += ascending_sweep(table, 600)
     expected = [dispatch_table(build_table(table.stacks), p) for p in demands]
     start = threading.Barrier(4)
 
@@ -431,3 +498,7 @@ def test_a_table_shared_across_threads_solves_as_fresh_tables_do():
         assert [results[k] for k in forward] == expected
     fresh = build_table(table.stacks)
     assert table._direct == {mu: fresh._direct_power(mu) for mu in table._direct}
+    window = table._window
+    key = window.mu_high, window.mu_low
+    k = next(k for k, r in enumerate(expected) if (r.sets.mu_high, r.sets.mu_low) == key)
+    assert _locate(fresh, demands[k])[1] == window

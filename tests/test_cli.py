@@ -190,6 +190,29 @@ def test_sweep_non_finite_range_exits_2(capsys, bench3_config, bounds):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("p_from, p_to", [("-1e308", "1e308"), ("-1.7976931348623157e308", "0.9e308")])
+def test_sweep_range_wider_than_a_float_exits_2(capsys, bench3_config, p_from, p_to):
+    # Both ends are finite, but their difference overflows: the grid's step
+    # would be inf and its first demand 0*inf, a NaN row.
+    code, out, err = run_cli(
+        capsys, "sweep", bench3_config, f"--from={p_from}", "--to", p_to, "--points", "3"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "sweep: --to minus --from must be finite\n"
+
+
+def test_sweep_widest_finite_range_starts_at_from(capsys, bench3_config):
+    code, out, _ = run_cli(
+        capsys, "sweep", bench3_config, "--from=-8e307", "--to", "8e307", "--points", "3"
+    )
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert [(r[0], r[-1]) for r in rows] == [
+        ("-8e+307", "infeasible_low"), ("0.0", "infeasible_low"), ("8e+307", "infeasible_high")
+    ]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
