@@ -6,32 +6,34 @@ current is a function of the level alone, EquivalentStack.inverse_marginal,
 which is exact at the bound levels. One sweep down the levels carries the
 network power as running sums, so the table costs O(N log N) and its
 cumulative powers lie within _EDGE_RTOL of the direct branch-by-branch sums.
-The table also keeps per-branch columns from that sweep: each branch's bound
-currents and its power at both bounds, for a branch that can be interior its
-sqrt-current as a line in the level and its power as a cubic in it, and per
-bound kind the branch indices in level order. inverse_marginal stays the
-model's definition of the current at a level; the online path repeats its
-clamp and power's expression on the columns, float op for float op, so it
-calls no model method and its results are those of the methods bit for bit.
-Online, a demand is bracketed between two consecutive breakpoints by
-bisecting those powers and confirming the few within _EDGE_RTOL of it by
-their direct sums; a demand equal to a breakpoint's direct power gets the
-zero-width window at that point's level. The branches pinned at a bound,
-found by bisecting the level-ordered indices, are subtracted out. What a
-window gives a solve besides its levels (this split, the pinned currents and
-power, the interior's summed cubic) does not depend on the demand, so the
-table keeps it for the last window located, and consecutive demands in one
-window, as a sweep or a slowly moving control loop makes them, reuse it. In
-an open window the interior branches are solved for the common marginal
-level mu by one safeguarded Newton-bisection loop inside the window, run
-first on the interior power's summed cubic in mu and then, from that seed,
-on the direct per-branch sum until the residual is within the rounding error
-of the power sum. Every result is assembled from locate_segment's split at
-mu, looping in Python only over the interior branches once the window's
-pinned currents are known. The paper's three-candidate cubic in the
-reference branch's sqrt-current (solve_segment_sqrt, which alone calls
-poly_roots, and select_feasible_root) and a model-agnostic bisection on the
-level (solve_segment_numeric) remain as public cross-checks.
+The table also keeps columns from that sweep: each branch's bound currents
+and its power at both bounds, for a branch that can be interior its
+sqrt-current as a line in the level, per bound kind the branch indices in
+level order, and after each breakpoint the sweep's running sums, which are
+the interior power's cubic in the level over the window below that point.
+inverse_marginal stays the model's definition of the current at a level;
+the online path repeats its clamp and power's expression on the columns,
+float op for float op, so it calls no model method and its results are
+those of the methods bit for bit. Online, a demand is bracketed between two
+consecutive breakpoints by bisecting those powers and confirming the few
+within _EDGE_RTOL of it by their direct sums; a demand equal to a
+breakpoint's direct power gets the zero-width window at that point's level.
+The branches pinned at a bound, found by bisecting the level-ordered
+indices, are subtracted out. What a window gives a solve besides its levels
+(this split, the pinned currents and power, the interior's lines and the
+sweep's cubic) does not depend on the demand, so the table keeps it for the
+last window located, and consecutive demands in one window, as a sweep or a
+slowly moving control loop makes them, reuse it. In an open window the
+interior branches are solved for the common marginal level mu by one
+safeguarded Newton-bisection loop inside the window, run first on that
+cubic and then, from its root, on the direct per-branch sum until the
+residual is within the rounding error of the power sum. Every result is
+assembled from locate_segment's split at mu, looping in Python only over
+the interior branches once the window's pinned currents are known. The
+paper's three-candidate cubic in the reference branch's sqrt-current
+(solve_segment_sqrt, which alone calls poly_roots, and select_feasible_root)
+and a model-agnostic bisection on the level (solve_segment_numeric) remain
+as public cross-checks.
 
 At the optimum every interior branch runs at the same dP/dI (the marginal
 level mu); branches at their lower bound have a steeper affordable marginal
@@ -125,15 +127,14 @@ class _Columns(NamedTuple):
     # Per-branch values, in branch order, that build_table computes once and
     # the online path reads in place of EquivalentStack methods. i_lb and
     # i_ub are the bound currents (i_ub_eff), p_lb and p_ub the power at
-    # them. line and cubic are an interior branch's terms from _cubic_terms;
-    # they are None for a branch whose two bound levels are one float, which
-    # no window between consecutive levels has interior.
+    # them. line is an interior branch's line from _cubic_terms; it is None
+    # for a branch whose two bound levels are one float, which no window
+    # between consecutive levels has interior.
     i_lb: list[float]
     i_ub: list[float]
     p_lb: list[float]
     p_ub: list[float]
     line: list
-    cubic: list
     # Per bound kind, the branch indices in the table's order (level
     # descending, index ascending) and their negated bound levels, which
     # ascend: marginal_power at i_lb or i_ub_eff, the very floats
@@ -143,15 +144,19 @@ class _Columns(NamedTuple):
     lb_key: list[float]
     ub_order: list[int]
     ub_key: list[float]
+    # Flat, 4 per breakpoint: the sweep's running c3, c2, c1, c0 just after
+    # it, so the open window [points[n].mu, points[n-1].mu] has its
+    # interior's cubic in mu at sums[4n-4:4n].
+    sums: list[float]
 
 
 class _Window(NamedTuple):
     # What a solve needs of a located window that does not depend on the
     # demand, keyed by the window's levels: the split, the currents and
     # powers of the pinned branches (_pinned) and their power summed in
-    # branch order, and for an open window's level solve, over the interior
-    # in ascending order, its lines, its cubic's running sums c3, c2, c1
-    # and its t0 terms, which c0 adds to -p_req_eff in that order.
+    # branch order, and for an open window's level solve the interior's
+    # lines in ascending order and its cubic (c3, c2, c1, c0) in mu, read
+    # from build_table's sweep. Both are empty for a zero-width window.
     mu_high: float
     mu_low: float
     at_lb: frozenset[int]
@@ -160,10 +165,7 @@ class _Window(NamedTuple):
     fixed: tuple[list[float], list[float]]
     pinned: float
     lines: list
-    c3: float
-    c2: float
-    c1: float
-    t0: list[float]
+    cubic: list[float]
 
 
 @dataclass(frozen=True)
@@ -350,8 +352,10 @@ def build_table(stacks: Sequence[EquivalentStack]) -> DispatchTable:
     O(N log N). At a level, a branch whose lower-bound level equals it is
     still at i_lb (inverse_marginal tests that bound first), and one whose
     two bound levels are the same float goes to i_ub_eff only below it.
-    p_min and p_max are direct sums. The values the sweep computes per
-    branch are kept as the table's columns for the online path.
+    p_min and p_max are the direct sums at the highest and lowest level; so
+    p_max is not always the power at every i_ub_eff (ROADMAP item 4(b)). The
+    sweep's per-branch values and its cubic sums after each point are kept
+    as the table's columns for the online path.
     """
     stacks = tuple(stacks)
     if not stacks:
@@ -366,18 +370,18 @@ def build_table(stacks: Sequence[EquivalentStack]) -> DispatchTable:
     p_lb = [s.power(s.i_lb) for s in stacks]
     p_ub = [s.power(s.i_ub_eff) for s in stacks]
     line = [None] * len(stacks)
-    cubic = [None] * len(stacks)
+    sums = []
     columns = _Columns(
         [s.i_lb for s in stacks],
         [s.i_ub_eff for s in stacks],
         p_lb,
         p_ub,
         line,
-        cubic,
         [j for _, _, j in lb_raw],
         [neg for neg, _, _ in lb_raw],
         [j for _, _, j in ub_raw],
         [neg for neg, _, _ in ub_raw],
+        sums,
     )
     # The direct sums at the end levels; at the top every branch is at i_lb.
     p_min = sum(p_lb)
@@ -389,6 +393,7 @@ def build_table(stacks: Sequence[EquivalentStack]) -> DispatchTable:
     # powers' with c0's in h0: the scale of their rounding error.
     h3 = h2 = h1 = 0.0
     h0 = p_min
+    cubic = [None] * len(stacks)  # an interior branch's terms
     powers = []
     level = None
     for neg, upper, j in raw:
@@ -415,19 +420,20 @@ def build_table(stacks: Sequence[EquivalentStack]) -> DispatchTable:
                 c3, c2, c1, c0 = c3 - t3, c2 - t2, c1 - t1, c0 - t0
                 pinned += p_ub[j]
                 h0 += p_ub[j]
-            continue
-        # The branch leaves its lower bound just below this level; with
-        # both bound levels here, it goes straight to its upper bound.
-        pinned -= p_lb[j]
-        h0 += p_lb[j]
-        if ub_level[j] == mu:
-            pinned += p_ub[j]
-            h0 += p_ub[j]
         else:
-            line[j], terms = _cubic_terms(stacks[j])
-            t3, t2, t1, t0 = cubic[j] = terms
-            c3, c2, c1, c0 = c3 + t3, c2 + t2, c1 + t1, c0 + t0
-            h3, h2, h1, h0 = h3 + t3, h2 + abs(t2), h1 + abs(t1), h0 + t0
+            # The branch leaves its lower bound just below this level; with
+            # both bound levels here, it goes straight to its upper bound.
+            pinned -= p_lb[j]
+            h0 += p_lb[j]
+            if ub_level[j] == mu:
+                pinned += p_ub[j]
+                h0 += p_ub[j]
+            else:
+                line[j], terms = _cubic_terms(stacks[j])
+                t3, t2, t1, t0 = cubic[j] = terms
+                c3, c2, c1, c0 = c3 + t3, c2 + t2, c1 + t1, c0 + t0
+                h3, h2, h1, h0 = h3 + t3, h2 + abs(t2), h1 + abs(t1), h0 + t0
+        sums += c3, c2, c1, c0
     points = tuple(
         ObservablePoint(-neg, j, _KINDS[upper], power)
         for (neg, upper, j), power in zip(raw, powers)
@@ -453,7 +459,7 @@ def _cubic_terms(s: EquivalentStack) -> tuple[tuple, tuple[float, float, float, 
 
 
 def feasible_power_range(table: DispatchTable) -> tuple[float, float]:
-    """Obtainable power window (all branches at lb, all at effective ub)."""
+    """Obtainable power window: the direct sums at the end levels (build_table)."""
     return (table.p_min, table.p_max)
 
 
@@ -514,17 +520,10 @@ def _locate(table: DispatchTable, p_req: float) -> tuple[ActiveSets, _Window]:
         cols = table._columns
         at_lb, at_ub, interior = _split(cols, mu_high, mu_low)
         fixed = _pinned(cols, at_lb, interior)
-        lines, t0s = [], []
-        c3 = c2 = c1 = 0.0
+        line, lines, cubic = cols.line, [], []
         if mu_low < mu_high:
-            line, cubic = cols.line, cols.cubic
-            for j in sorted(interior):
-                t3, t2, t1, t0 = cubic[j]
-                c3 += t3
-                c2 += t2
-                c1 += t1
-                t0s.append(t0)
-                lines.append(line[j])
+            lines = [line[j] for j in sorted(interior)]
+            cubic = cols.sums[4 * n - 4 : 4 * n]
         # The pinned power is summed in branch order, as a loop over the
         # branches would add it: 0.0 in place of an interior branch adds
         # nothing. tuple.__new__ builds the NamedTuple without its generated
@@ -532,7 +531,7 @@ def _locate(table: DispatchTable, p_req: float) -> tuple[ActiveSets, _Window]:
         # construction.
         window = tuple.__new__(_Window, (
             mu_high, mu_low, frozenset(at_lb), frozenset(interior), frozenset(at_ub),
-            fixed, sum(fixed[1]), lines, c3, c2, c1, t0s,
+            fixed, sum(fixed[1]), lines, cubic,
         ))
         object.__setattr__(table, "_window", window)
     sets = ActiveSets(
@@ -686,24 +685,23 @@ def _solve_level(window: _Window, p_req_eff: float, lo: float, hi: float) -> tup
     # Common marginal level of the window's interior branches, inside the
     # segment's window [lo, hi], and the number of direct passes it took.
     # With x_j = u_j*mu + v_j (window.lines) the interior power is a cubic
-    # in mu, the sum of their cubic terms. The window brackets its one root
-    # there, so Newton steps on the cubic's Horner form find it, and seed
-    # the same steps on the unexpanded per-branch sum, whose slope is
-    # 2*mu*sum(u_j*x_j). Power falls as mu rises, so every residual sign
-    # narrows the bracket, and a step that would leave it (or a zero slope)
-    # bisects instead. The direct stage stops once its residual f says
-    # nothing more about mu. Every term is positive below the power peak, so
-    # f + p_req_eff is their sum, and floor times it bounds the sum's
-    # rounding error: n additions plus the 6 roundings of each term
-    # (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-    # ch. 4). The residual must also be within floor of slope*mu, so that
-    # the Newton step it implies is within floor of mu: near a power peak
-    # the power is flat in mu, and a residual at the floor can still leave
-    # mu far off.
-    lines, c3, c2, c1 = window.lines, window.c3, window.c2, window.c1
-    c0 = -p_req_eff
-    for t0 in window.t0:
-        c0 += t0
+    # in mu, window.cubic, which build_table's sweep summed. The window
+    # brackets its one root there, so Newton steps on the cubic's Horner
+    # form find it, and seed the same steps on the unexpanded per-branch
+    # sum, whose slope is 2*mu*sum(u_j*x_j). Power falls as mu rises, so
+    # every residual sign narrows the bracket, and a step that would leave
+    # it (or a zero slope) bisects instead. The direct stage stops once its
+    # residual f says nothing more about mu. Every term is positive below
+    # the power peak, so f + p_req_eff is their sum, and floor times it
+    # bounds the sum's rounding error: n additions plus the 6 roundings of
+    # each term (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    # ed., ch. 4). The residual must also be within floor of slope*mu, so
+    # that the Newton step it implies is within floor of mu: near a power
+    # peak the power is flat in mu, and a residual at the floor can still
+    # leave mu far off.
+    lines = window.lines
+    c3, c2, c1, c0 = window.cubic
+    c0 -= p_req_eff
     floor = _EPS * (len(lines) + 6)
 
     # Each stage starts from the whole window: rounding can give the cubic

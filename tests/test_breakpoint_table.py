@@ -304,6 +304,36 @@ def test_level_solve_stops_at_its_rounding_floor(name, request):
     assert sum(passes) / len(passes) <= 1.5
 
 
+@pytest.mark.parametrize("name", ["bench3", "bench30", "paper", "random1000"])
+def test_window_cubic_from_the_sweep_matches_the_direct_interior_sum(name, request):
+    # build_table's running sums after a breakpoint are the interior power's
+    # cubic in mu over the window below it, which the window's record hands
+    # to the level solve. The sweep adds and subtracts branches in level
+    # order, so its sums differ from a fresh sum over the interior in the
+    # last bits only: within the slack of the stored powers, at both window
+    # ends and in the middle. No demand lands in a window whose direct end
+    # powers round to one float (power is flat in the level next to a peak
+    # at level 0), so such a window has no record.
+    checks = 0
+    for network in sample_networks(name, request):
+        table = build_table(reduce_network(network))
+        levels = [pt.mu for pt in table.points]
+        for high, low in zip(levels, levels[1:]):
+            sets, window = _locate(table, direct_power(table, 0.5 * (high + low)))
+            if not low < high or (sets.mu_high, sets.mu_low) != (high, low):
+                continue
+            c3, c2, c1, c0 = window.cubic
+            for mu in (low, 0.5 * (high + low), high):
+                interior = 0.0
+                for u, v, a, b in window.lines:
+                    x = u * mu + v
+                    interior += (a + b * x) * x * x
+                cubic = ((c3 * mu + c2) * mu + c1) * mu + c0
+                assert abs(cubic - interior) <= _EDGE_RTOL * max(1.0, window.pinned + interior)
+                checks += 1
+    assert checks > 3 * {"bench3": 4, "bench30": 14, "paper": 1900, "random1000": 1400}[name]
+
+
 def test_online_solve_finds_no_cubic_roots(monkeypatch, bench3_network, bench30_network):
     # The located window brackets the interior cubic's one root there, so
     # neither dispatch_table nor dispatch asks poly_roots for all three.
@@ -350,13 +380,12 @@ ONE_SIGN_CUBIC = Network(
 
 def test_level_solve_seed_stays_in_the_window_when_the_cubic_has_one_sign():
     table = build_table(reduce_network(ONE_SIGN_CUBIC))
-    cols = table._columns
     p = table.p_max
     for _ in range(3):
         p = math.nextafter(p, -math.inf)
         sets, window = _locate(table, p)
         lo, hi = sets.mu_low, sets.mu_high
-        c3, c2, c1, c0 = (sum(terms) for terms in zip(*(cols.cubic[j] for j in sets.interior)))
+        c3, c2, c1, c0 = window.cubic
         c0 -= sets.p_req_eff
         assert ((c3 * lo + c2) * lo + c1) * lo + c0 < 0.0
         assert ((c3 * hi + c2) * hi + c1) * hi + c0 < 0.0
