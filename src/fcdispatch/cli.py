@@ -2,8 +2,9 @@
 
 Exit codes: 0 success; 2 bad argument (a NaN or infinite --power/--from/--to,
 --points below 2, --to below --from and a --to minus --from beyond the float
-range included), config error (unreadable,
-not UTF-8, malformed or invalid) or unwritable --output, with stdout empty;
+range included), config error (unreadable, not UTF-8, malformed or invalid,
+or a branch whose powers or marginal levels lie beyond the float range) or
+unwritable --output, with stdout empty;
 3 infeasible demand; 4 validation mismatch. Data goes to stdout (or --output);
 diagnostics and timings go to stderr so repeated invocations stay
 byte-identical.
@@ -19,6 +20,7 @@ import time
 from .dispatch import DispatchStatus, build_table, dispatch, dispatch_table
 from .netconfig import _INFEASIBLE_MESSAGE, ConfigError, _parse_reduced, serialize_result, sweep_to_csv
 from .reference import compare, grid_bruteforce, lambda_bisection
+from .stack_model import NetworkValidationError
 
 _VALIDATE_TOL_CURRENT = 1e-3  # amperes, per branch
 _VALIDATE_GRID_POINTS = 200
@@ -208,7 +210,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(err.code or 0)
     try:
         return args.func(args)
-    except ConfigError as err:
+    except (ConfigError, NetworkValidationError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except OSError as err:  # reading the config raises ConfigError: a write failed

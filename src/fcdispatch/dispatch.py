@@ -18,18 +18,18 @@ those of the methods bit for bit. Online, a demand is bracketed between two
 consecutive breakpoints by bisecting those powers and confirming the few
 within _EDGE_RTOL of it by their direct sums; a demand equal to a
 breakpoint's direct power gets the zero-width window at that point's level.
-The branches pinned at a bound, found by bisecting the level-ordered
-indices, are subtracted out. What a window gives a solve besides its levels
-(this split, the pinned currents and power, the interior's lines and the
-sweep's cubic) does not depend on the demand, so the table keeps it for the
-last window located, and consecutive demands in one window, as a sweep or a
-slowly moving control loop makes them, reuse it. In an open window the
-interior branches are solved for the common marginal level mu by one
-safeguarded Newton-bisection loop inside the window, run first on that
-cubic and then, from its root, on the direct per-branch sum until the
-residual is within the rounding error of the power sum. Every result is
-assembled from locate_segment's split at mu, looping in Python only over
-the interior branches once the window's pinned currents are known. The
+_split alone builds a window's one record (_Window): its active sets, found
+by bisecting the level-ordered indices, the pinned currents and power, and
+for an open window the interior's lines and the sweep's cubic. None of it
+depends on the demand, so the table keeps the last window's record, and
+consecutive demands in one window, as a sweep or a slowly moving control
+loop makes them, reuse it. In an open window the interior branches are
+solved for the common marginal level mu by one safeguarded Newton-bisection
+loop inside the record's levels, run first on its cubic and then, from its
+root, on the direct per-branch sum until the residual is within the
+rounding error of the power sum. Every result is assembled from one record,
+looping in Python only over its interior; a mu on an open window's end
+takes the zero-width record at mu. The
 paper's three-candidate cubic in the reference branch's sqrt-current
 (solve_segment_sqrt, which alone calls poly_roots, and select_feasible_root)
 and a model-agnostic bisection on the level (solve_segment_numeric) remain
@@ -49,7 +49,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .poly_roots import CubicCoefficients, real_roots
 from .stack_model import (
@@ -151,12 +151,12 @@ class _Columns(NamedTuple):
 
 
 class _Window(NamedTuple):
-    # What a solve needs of a located window that does not depend on the
-    # demand, keyed by the window's levels: the split, the currents and
-    # powers of the pinned branches (_pinned) and their power summed in
-    # branch order, and for an open window's level solve the interior's
-    # lines in ascending order and its cubic (c3, c2, c1, c0) in mu, read
-    # from build_table's sweep. Both are empty for a zero-width window.
+    # A level window's one record, built by _split for location, the level
+    # solve and _assemble alike: the levels, the split, the pinned currents
+    # and powers (0.0 for an interior branch) and their sum in branch order,
+    # and for an open window's level solve the interior's lines in ascending
+    # order and its cubic (c3, c2, c1, c0) in mu from build_table's sweep.
+    # Both are empty for a zero-width window.
     mu_high: float
     mu_low: float
     at_lb: frozenset[int]
@@ -176,13 +176,13 @@ class DispatchTable:
     build_table from its sweep. They derive from stacks alone, so they are
     left out of equality and repr. The online path reads them in place of
     the branches' methods; EquivalentStack.inverse_marginal and power stay
-    the model's definitions, which the columns reproduce bit for bit. A
-    breakpoint's result, like any other, is assembled from locate_segment's
-    split: a zero-width window at the breakpoint's level.
+    the model's definitions, which the columns reproduce bit for bit. Every
+    result is assembled from one window record (_Window, built by _split):
+    a breakpoint's from the zero-width record at its level.
 
     Solving fills two private states, also left out of equality and repr:
-    a cache of the direct power at each breakpoint level, and a record of
-    the last located window (_Window). Each is written with one assignment
+    a cache of the direct power at each breakpoint level, and the record of
+    the last located window. Each is written with one assignment
     of a value that any caller would compute, so a table can be shared
     across threads.
     """
@@ -204,7 +204,10 @@ class DispatchTable:
         Each is the branch's inverse_marginal(mu), evaluated on the table's
         per-branch columns with that method's own float operations, so the
         level of a breakpoint gives that branch's bound current exactly.
+        A NaN level, which no bound test places, gives NaN for each.
         """
+        if math.isnan(mu):
+            return (math.nan,) * len(self.stacks)
         return tuple(_at_level(self._columns, mu)[0])
 
     def _direct_power(self, mu: float) -> float:
@@ -214,44 +217,38 @@ class DispatchTable:
         return p
 
 
-def _split(cols: _Columns, mu_high: float, mu_low: float) -> tuple[list[int], set[int], set[int]]:
-    # inverse_marginal's clamp over a level window: the branches at their
-    # lower bound (lb_level <= mu_low) as a slice of the level order, then
-    # the sets of the others at their upper bound (ub_level >= mu_high) and
-    # interior. Two bisections; no per-branch Python work.
+def _split(cols: _Columns, mu_high: float, mu_low: float, cubic: list[float]) -> _Window:
+    # The record of the window [mu_low, mu_high], with the cubic given.
+    # inverse_marginal's clamp in two bisections: the branches at their
+    # lower bound (lb_level <= mu_low) are a slice of the level order, those
+    # of the rest at their upper bound (ub_level >= mu_high) an intersection
+    # with another. The pinned columns, with 0.0 as an interior branch's
+    # power, add up in branch order to the pinned power.
     k = bisect_left(cols.lb_key, -mu_low)
-    interior = set(cols.lb_order[:k])
-    at_ub = interior.intersection(cols.ub_order[: bisect_right(cols.ub_key, -mu_high)])
-    interior -= at_ub
-    return cols.lb_order[k:], at_ub, interior
-
-
-def _pinned(
-    cols: _Columns, at_lb: Iterable[int], interior: Iterable[int]
-) -> tuple[list[float], list[float]]:
-    # Every pinned branch's current and power, in branch order, for a split
-    # of the branches: the upper-bound columns, and the lower-bound ones
-    # over at_lb. An interior branch's power is 0.0, so the powers add up to
-    # the pinned power; its current is _assemble's to fill in.
+    above = frozenset(cols.lb_order[:k])
+    at_ub = above.intersection(cols.ub_order[: bisect_right(cols.ub_key, -mu_high)])
+    at_lb, interior = frozenset(cols.lb_order[k:]), above - at_ub
     currents, powers = cols.i_ub.copy(), cols.p_ub.copy()
-    i_lb, p_lb = cols.i_lb, cols.p_lb
+    i_lb, p_lb, line = cols.i_lb, cols.p_lb, cols.line
     for j in at_lb:
         currents[j] = i_lb[j]
         powers[j] = p_lb[j]
     for j in interior:
         powers[j] = 0.0
-    return currents, powers
+    lines = [line[j] for j in sorted(interior)] if mu_low < mu_high else []
+    # tuple.__new__ skips the NamedTuple's generated __new__, whose Python
+    # frame would double the cost of every miss's record.
+    fields = mu_high, mu_low, at_lb, interior, at_ub, (currents, powers), sum(powers), lines, cubic
+    return tuple.__new__(_Window, fields)
 
 
-def _assemble(
-    cols: _Columns, mu: float, pinned: tuple[list[float], list[float]], interior: Iterable[int]
-) -> tuple[list[float], list[float]]:
-    # Every branch's current and power at level mu, in branch order: the
-    # pinned ones of the split at mu, and inverse_marginal's and power's
-    # expressions, float op for float op, over its interior.
-    currents, powers = pinned[0].copy(), pinned[1].copy()
+def _assemble(cols: _Columns, mu: float, window: _Window) -> tuple[list[float], list[float]]:
+    # Every branch's current and power at a level mu in the window, in
+    # branch order: the pinned ones, and inverse_marginal's and power's
+    # expressions, float op for float op, over the interior.
+    currents, powers = window.fixed[0].copy(), window.fixed[1].copy()
     line = cols.line
-    for j in interior:
+    for j in window.interior:
         _, _, a, b = line[j]
         x = (mu - a) / (1.5 * b)
         i = x * x
@@ -262,8 +259,7 @@ def _assemble(
 
 def _at_level(cols: _Columns, mu: float) -> tuple[list[float], list[float]]:
     # Every branch's current at level mu and its power, in branch order.
-    at_lb, _, interior = _split(cols, mu, mu)
-    return _assemble(cols, mu, _pinned(cols, at_lb, interior), interior)
+    return _assemble(cols, mu, _split(cols, mu, mu, []))
 
 
 @dataclass(frozen=True)
@@ -355,7 +351,8 @@ def build_table(stacks: Sequence[EquivalentStack]) -> DispatchTable:
     p_min and p_max are the direct sums at the highest and lowest level; so
     p_max is not always the power at every i_ub_eff (ROADMAP item 4(b)). The
     sweep's per-branch values and its cubic sums after each point are kept
-    as the table's columns for the online path.
+    as the table's columns for the online path. A network whose levels or
+    powers leave the float range raises NetworkValidationError.
     """
     stacks = tuple(stacks)
     if not stacks:
@@ -429,11 +426,20 @@ def build_table(stacks: Sequence[EquivalentStack]) -> DispatchTable:
                 pinned += p_ub[j]
                 h0 += p_ub[j]
             else:
-                line[j], terms = _cubic_terms(stacks[j])
+                try:
+                    line[j], terms = _cubic_terms(stacks[j])
+                except OverflowError:
+                    raise _beyond_float_range(j) from None
                 t3, t2, t1, t0 = cubic[j] = terms
                 c3, c2, c1, c0 = c3 + t3, c2 + t2, c1 + t1, c0 + t0
                 h3, h2, h1, h0 = h3 + t3, h2 + abs(t2), h1 + abs(t1), h0 + t0
         sums += c3, c2, c1, c0
+    if not all(map(math.isfinite, powers)):
+        # Name the first branch with a level, bound power or cubic term of its
+        # own beyond the float range; with none, sums of finite values overflowed.
+        own = zip(lb_level, ub_level, p_lb, p_ub, cubic)
+        bad = (j for j, (*v, t) in enumerate(own) if not all(map(math.isfinite, v + list(t or ()))))
+        raise _beyond_float_range(next(bad, None))
     points = tuple(
         ObservablePoint(-neg, j, _KINDS[upper], power)
         for (neg, upper, j), power in zip(raw, powers)
@@ -441,6 +447,11 @@ def build_table(stacks: Sequence[EquivalentStack]) -> DispatchTable:
     return DispatchTable(
         stacks=stacks, points=points, p_min=p_min, p_max=p_max, _columns=columns
     )
+
+
+def _beyond_float_range(j: int | None) -> NetworkValidationError:
+    where = "network" if j is None else f"branches[{j}]"
+    return NetworkValidationError(f"{where}: power or marginal level beyond the float range")
 
 
 def _cubic_terms(s: EquivalentStack) -> tuple[tuple, tuple[float, float, float, float]]:
@@ -481,11 +492,11 @@ def locate_segment(table: DispatchTable, p_req: float) -> ActiveSets:
     linear scan over direct powers, even where two adjacent direct powers
     decrease by rounding.
 
-    The split depends on the window alone, so the table keeps a record of
-    the last window located, replaced when a demand lands in another one. A
-    demand in the same window as the one before it takes the split and the
-    pinned power from that record, and its sets share the record's
-    frozensets; the bracket is still found and confirmed as above.
+    The split depends on the window alone, so the table keeps the last
+    window's record, replaced by one _split when a demand lands in another
+    window. A demand in the same window as the one before it takes the
+    split and the pinned power from that record, and its sets share the
+    record's frozensets; the bracket is still found and confirmed as above.
     """
     return _locate(table, p_req)[0]
 
@@ -517,22 +528,8 @@ def _locate(table: DispatchTable, p_req: float) -> tuple[ActiveSets, _Window]:
     mu_high, mu_low = points[n if hit else n - 1].mu, points[n].mu
     window = table._window
     if window is None or window.mu_high != mu_high or window.mu_low != mu_low:
-        cols = table._columns
-        at_lb, at_ub, interior = _split(cols, mu_high, mu_low)
-        fixed = _pinned(cols, at_lb, interior)
-        line, lines, cubic = cols.line, [], []
-        if mu_low < mu_high:
-            lines = [line[j] for j in sorted(interior)]
-            cubic = cols.sums[4 * n - 4 : 4 * n]
-        # The pinned power is summed in branch order, as a loop over the
-        # branches would add it: 0.0 in place of an interior branch adds
-        # nothing. tuple.__new__ builds the NamedTuple without its generated
-        # __new__, whose Python frame would double the cost of every miss's
-        # construction.
-        window = tuple.__new__(_Window, (
-            mu_high, mu_low, frozenset(at_lb), frozenset(interior), frozenset(at_ub),
-            fixed, sum(fixed[1]), lines, cubic,
-        ))
+        cubic = [] if hit else table._columns.sums[4 * n - 4 : 4 * n]
+        window = _split(table._columns, mu_high, mu_low, cubic)
         object.__setattr__(table, "_window", window)
     sets = ActiveSets(
         at_lb=window.at_lb,
@@ -681,9 +678,9 @@ def solve_segment_numeric(
     return currents
 
 
-def _solve_level(window: _Window, p_req_eff: float, lo: float, hi: float) -> tuple[float, int]:
-    # Common marginal level of the window's interior branches, inside the
-    # segment's window [lo, hi], and the number of direct passes it took.
+def _solve_level(window: _Window, p_req_eff: float) -> tuple[float, int]:
+    # Common marginal level of the window's interior branches, inside its
+    # levels [mu_low, mu_high], and the number of direct passes it took.
     # With x_j = u_j*mu + v_j (window.lines) the interior power is a cubic
     # in mu, window.cubic, which build_table's sweep summed. The window
     # brackets its one root there, so Newton steps on the cubic's Horner
@@ -699,7 +696,7 @@ def _solve_level(window: _Window, p_req_eff: float, lo: float, hi: float) -> tup
     # that the Newton step it implies is within floor of mu: near a power
     # peak the power is flat in mu, and a residual at the floor can still
     # leave mu far off.
-    lines = window.lines
+    lo, hi, lines = window.mu_low, window.mu_high, window.lines
     c3, c2, c1, c0 = window.cubic
     c0 -= p_req_eff
     floor = _EPS * (len(lines) + 6)
@@ -748,19 +745,19 @@ def dispatch_table(table: DispatchTable, p_req: float) -> DispatchResult:
 
     # A breakpoint's zero-width window needs no solve: its level is exact.
     cols = table._columns
-    fixed, interior, mu = window.fixed, window.interior, sets.mu_low
-    if mu < sets.mu_high:
+    mu = window.mu_low
+    if mu < window.mu_high:
         # Power is a function of the level, so some branch changes across
         # an open window. It is interior unless its two bound levels round
         # to one float; the solve then only bisects towards a window end.
-        mu = _solve_level(window, sets.p_req_eff, mu, sets.mu_high)[0]
-        if not sets.mu_low < mu < sets.mu_high:
+        mu = _solve_level(window, sets.p_req_eff)[0]
+        if not window.mu_low < mu < window.mu_high:
             # At a window end, a branch whose bound level is that end sits
-            # at the bound. Strictly inside, no bound level lies in the
-            # window, so the branches split at mu as over the window.
-            at_lb, _, interior = _split(cols, mu, mu)
-            fixed = _pinned(cols, at_lb, interior)
-    currents, powers = _assemble(cols, mu, fixed, interior)
+            # at the bound, so the result takes the zero-width record at mu.
+            # Strictly inside, no bound level lies in the window, so the
+            # branches split at mu as over the window.
+            window = _split(cols, mu, mu, [])
+    currents, powers = _assemble(cols, mu, window)
     total_power = sum(powers)
     if abs(total_power - p_req) > _POWER_RTOL * max(1.0, abs(p_req)):
         raise SegmentSolveError(

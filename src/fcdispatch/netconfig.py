@@ -29,7 +29,7 @@ class ConfigError(ValueError):
     """A config document is malformed or violates a network invariant."""
 
 
-def _where(j: int | None, k: int | None) -> str:
+def _where(j: int | None, k: int | None = None) -> str:
     # The location of branch j's stack k (of branch j for k None, of the
     # document for j None), formatted only for a value that raises.
     if j is None:
@@ -80,23 +80,23 @@ def _parse_reduced(text: str) -> tuple[Network, tuple[EquivalentStack, ...]]:
 
     version = _require(doc, "version")
     if not isinstance(version, str):
-        raise ConfigError(f"document: version must be a string, got {version!r}")
+        raise ConfigError(f"{_where(None)}: version must be a string, got {version!r}")
 
     raw_branches = _require(doc, "branches")
     if not isinstance(raw_branches, list) or not raw_branches:
-        raise ConfigError("document: branches must be a nonempty array")
+        raise ConfigError(f"{_where(None)}: branches must be a nonempty array")
 
     branches = []
     for j, raw in enumerate(raw_branches):
         if not isinstance(raw, dict):
-            raise ConfigError(f"branches[{j}]: expected an object")
+            raise ConfigError(f"{_where(j)}: expected an object")
         raw_stacks = _require(raw, "stacks", j)
         if not isinstance(raw_stacks, list) or not raw_stacks:
-            raise ConfigError(f"branches[{j}]: stacks must be a nonempty array")
+            raise ConfigError(f"{_where(j)}: stacks must be a nonempty array")
         stacks = []
         for k, raw_stack in enumerate(raw_stacks):
             if not isinstance(raw_stack, dict):
-                raise ConfigError(f"branches[{j}].stacks[{k}]: expected an object")
+                raise ConfigError(f"{_where(j, k)}: expected an object")
             stacks.append(
                 SqrtStackParams(
                     a=_number(raw_stack, "a", j, k),

@@ -174,6 +174,11 @@ def test_currents_at_is_inverse_marginal_bit_for_bit(name, request):
         table = build_table(stacks)
         for mu in check_levels(table):
             assert table.currents_at(mu) == tuple(s.inverse_marginal(mu) for s in stacks)
+        # No bound test places a NaN level, so each branch's current is NaN.
+        currents = table.currents_at(math.nan)
+        assert len(currents) == len(stacks)
+        assert all(math.isnan(i) for i in currents)
+        assert all(math.isnan(s.inverse_marginal(math.nan)) for s in stacks)
 
 
 @pytest.mark.parametrize("name", COLUMN_NETWORKS)
@@ -244,8 +249,8 @@ def test_dispatch_table_result_at_a_window_end_is_the_model_at_its_level(
     # A level solve that lands on a window end. The demands are one float
     # off a breakpoint's direct power, on the side whose window ends there;
     # the end is kept where its power meets the demand.
-    def at_end(window, p_req_eff, lo, hi):
-        return (lo if end == "mu_low" else hi), 0
+    def at_end(window, p_req_eff):
+        return getattr(window, end), 0
 
     # The package exports a function named dispatch, which shadows the module.
     monkeypatch.setattr(importlib.import_module("fcdispatch.dispatch"), "_solve_level", at_end)
@@ -292,7 +297,7 @@ def test_level_solve_stops_at_its_rounding_floor(name, request):
             if not sets.mu_low < sets.mu_high:
                 continue
             interior = sorted(sets.interior)
-            mu, n = _solve_level(window, sets.p_req_eff, sets.mu_low, sets.mu_high)
+            mu, n = _solve_level(window, sets.p_req_eff)
             power = slope = 0.0
             for u, v, a, b in (cols.line[j] for j in interior):
                 x = u * mu + v
@@ -389,7 +394,7 @@ def test_level_solve_seed_stays_in_the_window_when_the_cubic_has_one_sign():
         c0 -= sets.p_req_eff
         assert ((c3 * lo + c2) * lo + c1) * lo + c0 < 0.0
         assert ((c3 * hi + c2) * hi + c1) * hi + c0 < 0.0
-        mu, _ = _solve_level(window, sets.p_req_eff, lo, hi)
+        mu, _ = _solve_level(window, sets.p_req_eff)
         assert lo <= mu <= hi
         result = dispatch_table(table, p)
         assert result.status is DispatchStatus.OPTIMAL

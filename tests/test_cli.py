@@ -404,3 +404,29 @@ def test_solve_misshapen_config_exits_2(capsys, tmp_path, text, where):
     assert code == 2
     assert out == ""
     assert "config error" in err and where in err
+
+
+@pytest.mark.parametrize(
+    "row",
+    [(1.0, -1e-160, 0.0, "inf"), (1.0, -1e-150, 0.0, 1e300)],
+    ids=["b-1e-160-unbounded", "b-1e-150-i_ub-1e300"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("plan",),
+        ("solve", "--power", "0.5"),
+        ("sweep", "--from", "0", "--to", "1", "--points", "3"),
+        ("validate", "--power", "0.5"),
+    ],
+    ids=["plan", "solve", "sweep", "validate"],
+)
+def test_branch_beyond_the_float_range_exits_2(capsys, tmp_path, row, argv):
+    # The config passes validation, but the branch's power as a cubic in the
+    # level overflows a float, so no table can be built.
+    path = tmp_path / "huge.json"
+    path.write_text(config_text([row]))
+    code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err == "config error: branches[0]: power or marginal level beyond the float range\n"

@@ -304,8 +304,8 @@ def test_segment_cubic_rejects_a_reference_outside_the_interior(bench3_stacks):
 def test_dispatch_table_rejects_a_level_that_misses_the_demand(bench3_stacks, monkeypatch):
     # A level solve that returns the middle of its window, far from the
     # root: the power balance that guards every result catches it.
-    def mid_window(window, p_req_eff, lo, hi):
-        return 0.5 * (lo + hi), 1
+    def mid_window(window, p_req_eff):
+        return 0.5 * (window.mu_low + window.mu_high), 1
 
     # The package exports a function named dispatch, which shadows the module.
     monkeypatch.setattr(importlib.import_module("fcdispatch.dispatch"), "_solve_level", mid_window)

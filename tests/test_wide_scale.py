@@ -12,6 +12,10 @@ Every solve must also agree with lambda_bisection to within
 1e-6 * max(1 A, largest oracle current), the benchmark gate's tolerance.
 Both solvers run their level to float resolution, so they agree up to the
 window edges.
+
+A second property draws coefficients up to the float range's edges and
+checks only that build_table either rejects the network or returns a table
+whose levels and powers are all finite.
 """
 
 import math
@@ -23,6 +27,7 @@ from fcdispatch import (
     BranchSpec,
     DispatchStatus,
     Network,
+    NetworkValidationError,
     SqrtStackParams,
     build_table,
     dispatch_table,
@@ -123,3 +128,60 @@ def test_wide_scale_feasible_demands_solve(case):
         oracle = lambda_bisection(stacks, p).currents
         tol = 1e-6 * max(1.0, max(oracle))
         assert max(abs(i - j) for i, j in zip(result.currents, oracle)) <= tol
+
+
+@st.composite
+def extreme_branch(draw) -> BranchSpec:
+    """A valid branch of one or two stacks with a = 10**U(-3, 300) and
+    |b| = 10**U(-300, 2), whose powers and levels may leave the float range."""
+    stacks = tuple(
+        SqrtStackParams(
+            a=10.0 ** (-3.0 + 303.0 * draw(unit)),
+            b=-(10.0 ** (-300.0 + 302.0 * draw(unit))),
+            phi=0.01 + 0.99 * draw(unit),
+        )
+        for _ in range(draw(st.integers(1, 2)))
+    )
+    peak = effective_upper_bound(
+        sum(s.phi * s.a for s in stacks), sum(s.phi * s.b for s in stacks), math.inf
+    )
+    scale = 10.0 ** (300.0 * draw(unit)) if math.isinf(peak) else peak
+    i_lb = 0.5 * draw(unit) * scale
+    kind = draw(st.sampled_from(["zero", "inf", "finite"]))
+    if kind == "zero":
+        i_ub = i_lb
+    elif kind == "inf":
+        i_ub = math.inf
+    else:
+        i_ub = i_lb + 1.5 * draw(unit) * scale
+    return BranchSpec(stacks=stacks, i_lb=i_lb, i_ub=i_ub)
+
+
+def _one_stack(a: float, b: float, i_lb: float, i_ub: float) -> tuple[BranchSpec, ...]:
+    return (BranchSpec(stacks=(SqrtStackParams(a=a, b=b),), i_lb=i_lb, i_ub=i_ub),)
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=500,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(branches=st.lists(extreme_branch(), min_size=1, max_size=4).map(tuple))
+@example(branches=_one_stack(1.0, -1e-160, 0.0, math.inf))
+@example(branches=_one_stack(1.0, -1e-150, 0.0, 1e300))
+@example(branches=_one_stack(1e308, -1.0, 1.0, 1.0) * 2)
+def test_extreme_coefficients_raise_or_build_a_finite_table(branches):
+    # A network that passes validation either builds a table whose levels and
+    # powers are all finite, or is rejected as beyond the float range; the
+    # last example overflows only in the sum of two finite branch powers.
+    stacks = reduce_network(Network(branches=branches))
+    try:
+        table = build_table(stacks)
+    except NetworkValidationError as err:
+        assert str(err).endswith(": power or marginal level beyond the float range")
+        return
+    values = [table.p_min, table.p_max]
+    values += [v for pt in table.points for v in (pt.mu, pt.cumulative_power)]
+    assert all(map(math.isfinite, values))
