@@ -3,8 +3,9 @@
 Exit codes: 0 success; 2 bad argument (a NaN or infinite --power/--from/--to,
 --points below 2, --to below --from and a --to minus --from beyond the float
 range included), config error (unreadable, not UTF-8, malformed or invalid,
-or a branch whose powers or marginal levels lie beyond the float range) or
-unwritable --output, with stdout empty;
+a branch whose powers or marginal levels lie beyond the float range, or one
+whose phi-weighted b underflows to zero) or unwritable --output, with stdout
+empty;
 3 infeasible demand; 4 validation mismatch. Data goes to stdout (or --output);
 diagnostics and timings go to stderr so repeated invocations stay
 byte-identical.

@@ -127,7 +127,7 @@ class _Columns(NamedTuple):
     # Per-branch values, in branch order, that build_table computes once and
     # the online path reads in place of EquivalentStack methods. i_lb and
     # i_ub are the bound currents (i_ub_eff), p_lb and p_ub the power at
-    # them. line is an interior branch's line from _cubic_terms; it is None
+    # them. line is an interior branch's (u, v, a, b), sqrt(I) = u*mu + v; None
     # for a branch whose two bound levels are one float, which no window
     # between consecutive levels has interior.
     i_lb: list[float]
@@ -148,6 +148,9 @@ class _Columns(NamedTuple):
     # it, so the open window [points[n].mu, points[n-1].mu] has its
     # interior's cubic in mu at sums[4n-4:4n].
     sums: list[float]
+    # p_min and p_max widened by the _EDGE_RTOL slack: the feasible demands.
+    p_low: float
+    p_high: float
 
 
 class _Window(NamedTuple):
@@ -342,47 +345,62 @@ def build_table(stacks: Sequence[EquivalentStack]) -> DispatchTable:
     """Construct the 2N-point observable table for pre-reduced branches.
 
     Points are sorted by (mu descending, lower-bound kind first, branch
-    index ascending) so equal-level ties are deterministic. One sweep down
-    the levels keeps the pinned power and the interior power's cubic in mu
-    as running sums; each breakpoint moves one branch, so the table costs
-    O(N log N). At a level, a branch whose lower-bound level equals it is
-    still at i_lb (inverse_marginal tests that bound first), and one whose
-    two bound levels are the same float goes to i_ub_eff only below it.
-    p_min and p_max are the direct sums at the highest and lowest level; so
-    p_max is not always the power at every i_ub_eff (ROADMAP item 4(b)). The
-    sweep's per-branch values and its cubic sums after each point are kept
-    as the table's columns for the online path. A network whose levels or
-    powers leave the float range raises NetworkValidationError.
+    index ascending) so equal-level ties are deterministic. One pass over
+    the branches takes their bound levels and powers with marginal_power's
+    and power's expressions, float op for float op (a negative bound raises
+    the methods' ValueError). One sweep down the levels then keeps the
+    pinned power and the interior power's cubic in mu as running sums; each
+    breakpoint moves one branch, so the table costs O(N log N). At a level,
+    a branch whose lower-bound level equals it is still at i_lb
+    (inverse_marginal tests that bound first), and one whose two bound
+    levels are the same float goes to i_ub_eff only below it. p_min and
+    p_max are the direct sums at the highest and lowest level; so p_max is
+    not always the power at every i_ub_eff (ROADMAP item 4(b)). The
+    per-branch values, the sweep's cubic sums after each point and the
+    feasibility thresholds are kept as the table's columns for the online
+    path. A network whose levels or powers leave the float range raises
+    NetworkValidationError.
     """
     stacks = tuple(stacks)
-    if not stacks:
+    n = len(stacks)
+    if not n:
         raise NetworkValidationError("network has no branches")
-    lb_level = [s.marginal_power(s.i_lb) for s in stacks]
-    ub_level = [s.marginal_power(s.i_ub_eff) for s in stacks]
-    # (-mu, 0 for a lower bound or 1 for an upper bound, branch index), per
-    # kind and merged
-    lb_raw = sorted([(-m, 0, j) for j, m in enumerate(lb_level)])
-    ub_raw = sorted([(-m, 1, j) for j, m in enumerate(ub_level)])
-    raw = sorted(lb_raw + ub_raw)
-    p_lb = [s.power(s.i_lb) for s in stacks]
-    p_ub = [s.power(s.i_ub_eff) for s in stacks]
-    line = [None] * len(stacks)
+    i_lb, i_ub, p_lb, p_ub, lb_level, ub_level = [], [], [], [], [], []
+    try:
+        for s in stacks:
+            a, b, lo, hi = s.a_eq, s.b_eq, s.i_lb, s.i_ub_eff
+            b15, r_lo, r_hi = 1.5 * b, math.sqrt(lo), math.sqrt(hi)
+            i_lb.append(lo)
+            i_ub.append(hi)
+            lb_level.append(a + b15 * r_lo)
+            ub_level.append(a + b15 * r_hi)
+            p_lb.append(a * lo + b * lo * r_lo)
+            p_ub.append(a * hi + b * hi * r_hi)
+    except ValueError:
+        # sqrt of a negative bound: marginal_power names the first one.
+        for bound in ("i_lb", "i_ub_eff"):
+            for s in stacks:
+                s.marginal_power(getattr(s, bound))
+        raise
+    # Point k < n is branch k's lower bound, point n + j branch j's upper
+    # bound. A stable sort by level, descending, keeps equal levels in that
+    # order: lower bounds first, then by branch index.
+    levels = lb_level + ub_level
+    order = sorted(range(2 * n), key=levels.__getitem__, reverse=True)
+    lb_order = [k for k in order if k < n]
+    ub_order = [k - n for k in order if k >= n]
+    line = [None] * n
     sums = []
-    columns = _Columns(
-        [s.i_lb for s in stacks],
-        [s.i_ub_eff for s in stacks],
-        p_lb,
-        p_ub,
-        line,
-        [j for _, _, j in lb_raw],
-        [neg for neg, _, _ in lb_raw],
-        [j for _, _, j in ub_raw],
-        [neg for neg, _, _ in ub_raw],
-        sums,
-    )
-    # The direct sums at the end levels; at the top every branch is at i_lb.
+    # The direct sums at the end levels. At the top every branch is at i_lb;
+    # at the bottom at i_ub_eff, unless its lower-bound level is the bottom.
+    lowest = levels[order[-1]]
     p_min = sum(p_lb)
-    p_max = sum(_at_level(columns, -raw[-1][0])[1])
+    p_max = sum([lo if m <= lowest else hi for m, lo, hi in zip(lb_level, p_lb, p_ub)])
+    lb_key, ub_key = [-lb_level[j] for j in lb_order], [-ub_level[j] for j in ub_order]
+    columns = _Columns(
+        i_lb, i_ub, p_lb, p_ub, line, lb_order, lb_key, ub_order, ub_key, sums,
+        p_min - _EDGE_RTOL * max(1.0, abs(p_min)), p_max + _EDGE_RTOL * max(1.0, abs(p_max)),
+    )
 
     pinned = p_min
     c3 = c2 = c1 = c0 = 0.0  # interior power as a cubic in mu
@@ -390,16 +408,18 @@ def build_table(stacks: Sequence[EquivalentStack]) -> DispatchTable:
     # powers' with c0's in h0: the scale of their rounding error.
     h3 = h2 = h1 = 0.0
     h0 = p_min
-    cubic = [None] * len(stacks)  # an interior branch's terms
-    powers = []
+    cubic = [None] * n  # an interior branch's terms
+    powers, points = [], []
     level = None
-    for neg, upper, j in raw:
-        if neg != level:
+    for k in order:
+        mu, upper = levels[k], k >= n
+        j = k - n if upper else k
+        if mu != level:
             # A branch's power is continuous in the level, so the network
             # power at a level does not depend on which of the branches
             # changing there the sums have moved yet.
-            level, mu = neg, -neg
-            if level == raw[-1][0]:
+            level = mu
+            if mu == lowest:
                 power = p_max
             else:
                 power = pinned + (((c3 * mu + c2) * mu + c1) * mu + c0)
@@ -426,47 +446,40 @@ def build_table(stacks: Sequence[EquivalentStack]) -> DispatchTable:
                 pinned += p_ub[j]
                 h0 += p_ub[j]
             else:
+                # Its line x = sqrt(I) = u*mu + v, kept as (u, v, a, b) for
+                # _solve_level, and the terms of its power P = (a + b*x)*x*x
+                # as a cubic in the level mu.
+                a, b = stacks[j].a_eq, stacks[j].b_eq
+                u = 1.0 / (1.5 * b)
+                v = -a * u
+                line[j] = u, v, a, b
                 try:
-                    line[j], terms = _cubic_terms(stacks[j])
+                    t3 = b * u**3
                 except OverflowError:
                     raise _beyond_float_range(j) from None
-                t3, t2, t1, t0 = cubic[j] = terms
+                t2 = u * u * (a + 3.0 * b * v)
+                t1 = u * v * (2.0 * a + 3.0 * b * v)
+                t0 = v * v * (a + b * v)
+                cubic[j] = t3, t2, t1, t0
                 c3, c2, c1, c0 = c3 + t3, c2 + t2, c1 + t1, c0 + t0
                 h3, h2, h1, h0 = h3 + t3, h2 + abs(t2), h1 + abs(t1), h0 + t0
         sums += c3, c2, c1, c0
+        # tuple.__new__ skips the NamedTuple's generated __new__ frame.
+        points.append(tuple.__new__(ObservablePoint, (mu, j, _KINDS[upper], power)))
     if not all(map(math.isfinite, powers)):
         # Name the first branch with a level, bound power or cubic term of its
         # own beyond the float range; with none, sums of finite values overflowed.
         own = zip(lb_level, ub_level, p_lb, p_ub, cubic)
         bad = (j for j, (*v, t) in enumerate(own) if not all(map(math.isfinite, v + list(t or ()))))
         raise _beyond_float_range(next(bad, None))
-    points = tuple(
-        ObservablePoint(-neg, j, _KINDS[upper], power)
-        for (neg, upper, j), power in zip(raw, powers)
-    )
     return DispatchTable(
-        stacks=stacks, points=points, p_min=p_min, p_max=p_max, _columns=columns
+        stacks=stacks, points=tuple(points), p_min=p_min, p_max=p_max, _columns=columns
     )
 
 
 def _beyond_float_range(j: int | None) -> NetworkValidationError:
     where = "network" if j is None else f"branches[{j}]"
     return NetworkValidationError(f"{where}: power or marginal level beyond the float range")
-
-
-def _cubic_terms(s: EquivalentStack) -> tuple[tuple, tuple[float, float, float, float]]:
-    # One interior branch as _solve_level uses it: its line x = sqrt(I) =
-    # u*mu + v, kept as (u, v, a, b), and the terms of its power
-    # P = (a + b*x)*x*x as a cubic in the level mu.
-    a, b = s.a_eq, s.b_eq
-    u = 1.0 / (1.5 * b)
-    v = -a * u
-    return (u, v, a, b), (
-        b * u ** 3,
-        u * u * (a + 3.0 * b * v),
-        u * v * (2.0 * a + 3.0 * b * v),
-        v * v * (a + b * v),
-    )
 
 
 def feasible_power_range(table: DispatchTable) -> tuple[float, float]:
@@ -505,11 +518,12 @@ def _locate(table: DispatchTable, p_req: float) -> tuple[ActiveSets, _Window]:
     # locate_segment, plus the window's record that its sets come from. A
     # caller solves with this record, never with a second read of the slot,
     # which another thread may have replaced in between.
-    if math.isnan(p_req) or p_req < table.p_min - _EDGE_RTOL * max(1.0, abs(table.p_min)):
+    cols = table._columns
+    if math.isnan(p_req) or p_req < cols.p_low:
         raise InfeasibleDemandError(
             DispatchStatus.INFEASIBLE_LOW, p_req, table.p_min, table.p_max
         )
-    if p_req > table.p_max + _EDGE_RTOL * max(1.0, abs(table.p_max)):
+    if p_req > cols.p_high:
         raise InfeasibleDemandError(
             DispatchStatus.INFEASIBLE_HIGH, p_req, table.p_min, table.p_max
         )
@@ -528,8 +542,8 @@ def _locate(table: DispatchTable, p_req: float) -> tuple[ActiveSets, _Window]:
     mu_high, mu_low = points[n if hit else n - 1].mu, points[n].mu
     window = table._window
     if window is None or window.mu_high != mu_high or window.mu_low != mu_low:
-        cubic = [] if hit else table._columns.sums[4 * n - 4 : 4 * n]
-        window = _split(table._columns, mu_high, mu_low, cubic)
+        cubic = [] if hit else cols.sums[4 * n - 4 : 4 * n]
+        window = _split(cols, mu_high, mu_low, cubic)
         object.__setattr__(table, "_window", window)
     sets = ActiveSets(
         at_lb=window.at_lb,

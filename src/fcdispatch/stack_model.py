@@ -147,20 +147,34 @@ def reduce_branch(branch: BranchSpec, index: int | None = None) -> EquivalentSta
     """Collapse a series branch to its exact single-stack equivalent.
 
     a_eq and b_eq are the phi-weighted coefficient sums, which preserves
-    branch power identically for every current.
+    branch power identically for every current; a b_eq that underflows to
+    zero has no power peak and is rejected. One comparison chain per stack
+    tests what _check_branch does, which names a failure.
     """
-    _check_branch(branch, index)
-    a_eq = sum(s.phi * s.a for s in branch.stacks)
-    b_eq = sum(s.phi * s.b for s in branch.stacks)
-    i_ub_eff = effective_upper_bound(a_eq, b_eq, branch.i_ub)
-    if i_ub_eff < branch.i_lb:
+    stacks, i_lb, i_ub = branch.stacks, branch.i_lb, branch.i_ub
+    if not (stacks and 0.0 <= i_lb < math.inf and i_lb <= i_ub):
+        _check_branch(branch, index)
+    a_terms, b_terms = [], []
+    for s in stacks:
+        a, b, phi = s.a, s.b, s.phi
+        if not (0.0 <= a < math.inf and -math.inf < b < 0.0 and 0.0 < phi <= 1.0):
+            _check_branch(branch, index)
+        a_terms.append(phi * a)
+        b_terms.append(phi * b)
+    a_eq, b_eq = sum(a_terms), sum(b_terms)
+    if not b_eq < 0.0:
+        raise NetworkValidationError(f"{_where(index)}: sum of phi*b underflows to {b_eq}")
+    i_ub_eff = effective_upper_bound(a_eq, b_eq, i_ub)
+    if i_ub_eff < i_lb:
         # Power would be decreasing over the whole allowed range.
         raise NetworkValidationError(
-            f"{_where(index)}: power peaks at {i_ub_eff:.6g} A, below i_lb={branch.i_lb}"
+            f"{_where(index)}: power peaks at {i_ub_eff:.6g} A, below i_lb={i_lb}"
         )
-    return EquivalentStack(
-        a_eq=a_eq, b_eq=b_eq, i_lb=branch.i_lb, i_ub=branch.i_ub, i_ub_eff=i_ub_eff
-    )
+    # Without the dataclass __init__ and its five object.__setattr__ calls.
+    eq = object.__new__(EquivalentStack)
+    d = eq.__dict__
+    d["a_eq"], d["b_eq"], d["i_lb"], d["i_ub"], d["i_ub_eff"] = a_eq, b_eq, i_lb, i_ub, i_ub_eff
+    return eq
 
 
 def validate_network(network: Network) -> Network:

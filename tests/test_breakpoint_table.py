@@ -9,8 +9,10 @@ per-branch columns stand in for the model's methods online; the tests below
 hold them to those methods bit for bit, and count the calls a solve makes.
 """
 
+import dataclasses
 import importlib
 import math
+import pickle
 import random
 import sys
 import threading
@@ -25,11 +27,14 @@ from fcdispatch import (
     DispatchStatus,
     EquivalentStack,
     Network,
+    PointKind,
     SqrtStackParams,
     build_table,
     dispatch,
     dispatch_table,
+    effective_upper_bound,
     locate_segment,
+    reduce_branch,
     reduce_network,
     verify_kkt,
 )
@@ -179,6 +184,66 @@ def test_currents_at_is_inverse_marginal_bit_for_bit(name, request):
         assert len(currents) == len(stacks)
         assert all(math.isnan(i) for i in currents)
         assert all(math.isnan(s.inverse_marginal(math.nan)) for s in stacks)
+
+
+def bits(values):
+    """Floats as hex, so -0.0 and 0.0 differ and NaN equals NaN."""
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("name", COLUMN_NETWORKS)
+def test_table_levels_and_bound_powers_are_the_model_methods_bit_for_bit(name, request):
+    # build_table repeats marginal_power's and power's expressions inline.
+    for network in sample_networks(name, request):
+        stacks = reduce_network(network)
+        table = build_table(stacks)
+        cols = table._columns
+        bounds = ("i_lb", "i_ub_eff")
+        for pt in table.points:
+            s = stacks[pt.branch_index]
+            i = getattr(s, bounds[pt.kind is PointKind.UPPER_BOUND])
+            assert bits([pt.mu]) == bits([s.marginal_power(i)])
+        assert bits(cols.i_lb) == bits(s.i_lb for s in stacks)
+        assert bits(cols.i_ub) == bits(s.i_ub_eff for s in stacks)
+        assert bits(cols.p_lb) == bits(s.power(s.i_lb) for s in stacks)
+        assert bits(cols.p_ub) == bits(s.power(s.i_ub_eff) for s in stacks)
+
+
+@pytest.mark.parametrize("name", COLUMN_NETWORKS)
+def test_reduce_branch_builds_the_dataclass_of_the_weighted_sums(name, request):
+    # reduce_branch fills its result without the dataclass __init__; the
+    # result must be the EquivalentStack that __init__ builds.
+    for network in sample_networks(name, request)[:20]:
+        for j, branch in enumerate(network.branches):
+            eq = reduce_branch(branch, j)
+            a_eq = sum(s.phi * s.a for s in branch.stacks)
+            b_eq = sum(s.phi * s.b for s in branch.stacks)
+            i_ub_eff = effective_upper_bound(a_eq, b_eq, branch.i_ub)
+            ref = EquivalentStack(a_eq, b_eq, branch.i_lb, branch.i_ub, i_ub_eff)
+            assert bits(dataclasses.astuple(eq)) == bits(dataclasses.astuple(ref))
+            assert eq == ref and hash(eq) == hash(ref) and repr(eq) == repr(ref)
+            assert dataclasses.asdict(eq) == dataclasses.asdict(ref)
+            assert pickle.loads(pickle.dumps(eq)) == ref
+            assert dataclasses.replace(eq, i_lb=0.0) == dataclasses.replace(ref, i_lb=0.0)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                eq.a_eq = 1.0
+
+
+@pytest.mark.parametrize(
+    "bounds, message",
+    [
+        ([(-1.0, 10.0)], "current must be nonnegative, got -1.0"),
+        ([(0.0, 10.0), (1.0, -2.0)], "current must be nonnegative, got -2.0"),
+        # Every lower bound's level is taken before any upper bound's.
+        ([(0.0, -2.0), (-1.0, 10.0)], "current must be nonnegative, got -1.0"),
+    ],
+)
+def test_build_table_rejects_a_negative_bound_as_marginal_power_does(bounds, message):
+    stacks = [EquivalentStack(40.0, -0.5, lo, 10.0, hi) for lo, hi in bounds]
+    with pytest.raises(ValueError) as info:
+        build_table(stacks)
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("name", COLUMN_NETWORKS)

@@ -430,3 +430,27 @@ def test_branch_beyond_the_float_range_exits_2(capsys, tmp_path, row, argv):
     assert code == 2
     assert out == ""
     assert err == "config error: branches[0]: power or marginal level beyond the float range\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("plan",),
+        ("solve", "--power", "0.5"),
+        ("sweep", "--from", "0", "--to", "1", "--points", "3"),
+        ("validate", "--power", "0.5"),
+    ],
+    ids=["plan", "solve", "sweep", "validate"],
+)
+def test_branch_whose_b_underflows_exits_2(capsys, tmp_path, argv):
+    # Every stack passes its own check, but phi*b rounds to zero, so the
+    # branch has no power peak; this was a ZeroDivisionError traceback.
+    path = tmp_path / "tiny_b.json"
+    path.write_text(
+        '{"version": "1", "branches": [{"stacks": [{"a": 1.0, "b": -5e-324, "phi": 0.5}],'
+        ' "i_lb": 0.0, "i_ub": 1.0}]}'
+    )
+    code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err == "config error: branches[0]: sum of phi*b underflows to 0.0\n"

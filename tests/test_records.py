@@ -1,0 +1,41 @@
+"""Smoke test of tools/records.py, the bit-level record comparison.
+
+The tool runs in a child process: loading it here would add its float
+literals to the constants Hypothesis draws from in later test modules.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "records.py"
+
+
+def run_tool(*args):
+    return subprocess.run(
+        [sys.executable, str(TOOL), *map(str, args)], capture_output=True, text=True, timeout=60
+    )
+
+
+def test_records_of_the_small_corpus_diff_to_zero_and_count_a_change(tmp_path):
+    a = tmp_path / "a.txt"
+    done = run_tool(a, "--small")
+    assert done.returncode == 0, done.stderr
+    lines = a.read_text().splitlines()
+    fields = {line.split(" ", 2)[1] for line in lines}
+    assert {"a_eq", "mu", "cumulative_power", "sums", "p_max", "currents", "sets.at_ub"} <= fields
+    assert all(" raise " not in line for line in lines)
+
+    same = run_tool("--diff", a, a)
+    assert same.returncode == 0
+    assert same.stdout.startswith(f"0 of {len(lines)} records differ")
+
+    # One changed current and one record on one side only.
+    b = tmp_path / "b.txt"
+    k = next(n for n, line in enumerate(lines) if line.split(" ", 2)[1] == "total_current")
+    changed = lines[:k] + [lines[k] + "0"] + lines[k + 1 : -1]
+    b.write_text("\n".join(changed) + "\n")
+    diff = run_tool("--diff", a, b)
+    assert diff.returncode == 1
+    assert diff.stdout.splitlines()[0] == f"2 of {len(lines)} records differ"
+    assert "  total_current: 1" in diff.stdout

@@ -9,6 +9,7 @@ from fcdispatch import (
     Network,
     NetworkValidationError,
     SqrtStackParams,
+    dispatch,
     effective_upper_bound,
     reduce_branch,
     reduce_network,
@@ -290,3 +291,50 @@ def test_validation_error_names_branch_and_stack():
     )
     with pytest.raises(NetworkValidationError, match=r"branches\[2\].stacks\[1\]"):
         validate_network(bad)
+
+
+_OK = (40.0, -0.5, 1.0)  # (a, b, phi)
+
+
+@pytest.mark.parametrize(
+    "stacks, i_lb, i_ub, message",
+    [
+        ((), 0.0, 1.0, ": branch has no stacks"),
+        (((-1.0, -0.5, 1.0),), 0.0, 1.0, ".stacks[0]: a must be finite and >= 0, got -1.0"),
+        (((math.inf, -0.5, 1.0),), 0.0, 1.0, ".stacks[0]: a must be finite and >= 0, got inf"),
+        (((math.nan, -0.5, 1.0),), 0.0, 1.0, ".stacks[0]: a must be finite and >= 0, got nan"),
+        ((_OK, (40.0, 0.0, 1.0)), 0.0, 1.0, ".stacks[1]: b must be finite and < 0, got 0.0"),
+        (((40.0, -math.inf, 1.0),), 0.0, 1.0, ".stacks[0]: b must be finite and < 0, got -inf"),
+        (((40.0, math.nan, 1.0),), 0.0, 1.0, ".stacks[0]: b must be finite and < 0, got nan"),
+        (((40.0, -0.5, 0.0),), 0.0, 1.0, ".stacks[0]: phi must be in (0, 1], got 0.0"),
+        (((40.0, -0.5, math.nan),), 0.0, 1.0, ".stacks[0]: phi must be in (0, 1], got nan"),
+        ((_OK,), -1.0, 1.0, ": i_lb must be finite and >= 0, got -1.0"),
+        ((_OK,), math.inf, math.inf, ": i_lb must be finite and >= 0, got inf"),
+        ((_OK,), math.nan, 1.0, ": i_lb must be finite and >= 0, got nan"),
+        ((_OK,), 0.0, math.nan, ": need i_lb <= i_ub, got i_lb=0.0, i_ub=nan"),
+        ((_OK,), 5.0, 2.0, ": need i_lb <= i_ub, got i_lb=5.0, i_ub=2.0"),
+        (((3.0, -1.0, 1.0),), 9.0, 20.0, ": power peaks at 4 A, below i_lb=9.0"),
+        # Several problems: the stack's comes first.
+        (((-1.0, 0.5, 1.0),), -1.0, -2.0, ".stacks[0]: a must be finite and >= 0, got -1.0"),
+    ],
+)
+def test_validation_messages_are_exact(stacks, i_lb, i_ub, message):
+    # reduce_branch tests each stack in one comparison chain and leaves
+    # naming the problem to _check_branch; the whole message is pinned, with
+    # and without a branch index.
+    branch = BranchSpec(stacks=tuple(SqrtStackParams(*s) for s in stacks), i_lb=i_lb, i_ub=i_ub)
+    for index, where in ((None, "branch"), (4, "branches[4]")):
+        with pytest.raises(NetworkValidationError) as info:
+            reduce_branch(branch, index)
+        assert str(info.value) == where + message
+
+
+@pytest.mark.parametrize("n_stacks", [1, 2])
+def test_b_that_underflows_to_zero_is_rejected_by_name(bench3_network, n_stacks):
+    # Each phi*b rounds to -0.0, so the branch would have no power peak;
+    # effective_upper_bound divided by zero here before.
+    tiny = (SqrtStackParams(a=1.0, b=-5e-324, phi=0.5),) * n_stacks
+    net = Network(branches=bench3_network.branches + (BranchSpec(stacks=tiny, i_lb=0.0, i_ub=1.0),))
+    with pytest.raises(NetworkValidationError) as info:
+        dispatch(net, 100.0)
+    assert str(info.value) == "branches[3]: sum of phi*b underflows to 0.0"

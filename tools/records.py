@@ -1,0 +1,196 @@
+"""Bit-level records of fcdispatch's reduction, table and dispatch results.
+
+Writes one line per record over a fixed seeded corpus, every float as
+float.hex, so two commits can be compared bit for bit:
+
+    python tools/records.py OUT [--src SRC_DIR] [--small]
+    python tools/records.py --diff A B
+
+A record line is ``<key> <field> <value>``. Per network it holds the
+reduced stacks, the table's points, its private per-branch columns,
+p_min/p_max, and the results of a fixed list of demands, solved in a seeded
+order on one shared table and, for a few, by a one-shot dispatch(). A raise
+is recorded as the exception's type and message. --src puts another
+checkout's source directory first on the import path, so the records of a
+parent commit come from its own code; the corpus generators are those of
+tests/conftest.py next to this file. --diff counts the records that differ,
+or exist on one side only, per field.
+
+The corpus: bench3, bench30, make_random_network(default_rng(s), n) for
+s = 0..2 and n = 2..60, 300 make_wide_network(random.Random(11)) networks
+and make_random_network(default_rng(1), 1000). --small keeps bench3,
+bench30, n = 2..10 for s = 0 and 20 wide networks.
+"""
+
+from __future__ import annotations
+
+import argparse
+import math
+import random
+import sys
+from collections import Counter
+from pathlib import Path
+
+TESTS = Path(__file__).resolve().parent.parent / "tests"
+# The column fields recorded, in _Columns' order.
+COLUMNS = (
+    "i_lb", "i_ub", "p_lb", "p_ub", "line", "lb_order", "lb_key", "ub_order", "ub_key", "sums"
+)
+STACK_FIELDS = ("a_eq", "b_eq", "i_lb", "i_ub", "i_ub_eff")
+RESULT_FIELDS = (
+    "status", "p_req", "feasible_range", "currents", "total_current", "total_power", "mu"
+)
+SET_FIELDS = ("at_lb", "interior", "at_ub", "p_req_eff", "mu_high", "mu_low")
+N_SAMPLED_POINTS = 16  # breakpoints whose direct power (and neighbours) are demands
+N_UNIFORM = 8
+N_ONE_SHOT = 3
+
+
+def fmt(v) -> str:
+    """One value as text, floats as float.hex, containers element by element."""
+    if isinstance(v, float):
+        return v.hex()
+    if isinstance(v, (frozenset, set)):
+        return "{" + ",".join(map(fmt, sorted(v))) + "}"
+    if isinstance(v, (tuple, list)):
+        return "(" + ",".join(map(fmt, v)) + ")"
+    if hasattr(v, "value"):  # an enum member
+        return str(v.value)
+    return str(v)
+
+
+def corpus(small: bool):
+    """(name, Network) pairs; the generators come from tests/conftest.py."""
+    import numpy as np
+    from conftest import (
+        build_bench3_network,
+        build_bench30_network,
+        make_random_network,
+        make_wide_network,
+    )
+
+    yield "bench3", build_bench3_network()
+    yield "bench30", build_bench30_network()
+    seeds, top, n_wide = ((0,), 10, 20) if small else ((0, 1, 2), 60, 300)
+    for s in seeds:
+        rng = np.random.default_rng(s)
+        for n in range(2, top + 1):
+            yield f"random-s{s}-n{n}", make_random_network(rng, n)
+    r = random.Random(11)
+    for k in range(n_wide):
+        yield f"wide-{k}", make_wide_network(r)
+    if not small:
+        yield "random-n1000", make_random_network(np.random.default_rng(1), 1000)
+
+
+def demands(stacks, table, r: random.Random) -> list[float]:
+    """Window edges and their outer neighbours, a sample of breakpoint powers
+    with their float neighbours and the midpoints between them, and uniform
+    draws; every breakpoint power is a direct sum of the model's methods."""
+    lo, hi = table.p_min, table.p_max
+    out = [lo, hi, math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)]
+    out += [lo * (1.0 + 1e-9), hi * (1.0 - 1e-9)]
+    step = max(1, len(table.points) // N_SAMPLED_POINTS)
+    direct = [
+        sum(s.power(s.inverse_marginal(pt.mu)) for s in stacks) for pt in table.points[::step]
+    ]
+    for p in direct:
+        out += [p, math.nextafter(p, -math.inf), math.nextafter(p, math.inf)]
+    out += [0.5 * (p + q) for p, q in zip(direct, direct[1:])]
+    out += [lo + r.random() * (hi - lo) for _ in range(N_UNIFORM)]
+    return out
+
+
+def result_records(key: str, call):
+    try:
+        res = call()
+    except Exception as err:  # a raise is a record, compared like any other
+        yield key, "raise", f"{type(err).__name__}: {err}"
+        return
+    for f in RESULT_FIELDS:
+        yield key, f, fmt(getattr(res, f))
+    if res.sets is not None:
+        for f in SET_FIELDS:
+            yield key, f"sets.{f}", fmt(getattr(res.sets, f))
+
+
+def network_records(name: str, network):
+    from fcdispatch import build_table, dispatch, dispatch_table, reduce_network
+
+    try:
+        stacks = reduce_network(network)
+        table = build_table(stacks)
+    except Exception as err:
+        yield name, "raise", f"{type(err).__name__}: {err}"
+        return
+    for j, s in enumerate(stacks):
+        for f in STACK_FIELDS:
+            yield f"{name}/stack{j}", f, fmt(getattr(s, f))
+    for k, pt in enumerate(table.points):
+        for f in ("mu", "branch_index", "kind", "cumulative_power"):
+            yield f"{name}/point{k}", f, fmt(getattr(pt, f))
+    for f in COLUMNS:
+        yield f"{name}/columns", f, fmt(getattr(table._columns, f))
+    yield name, "p_min", fmt(table.p_min)
+    yield name, "p_max", fmt(table.p_max)
+
+    r = random.Random(name)
+    ps = demands(stacks, table, r)
+    order = list(range(len(ps)))
+    r.shuffle(order)
+    records = {}
+    for d in order:  # one shared table, so windows are reused across demands
+        records[d] = list(result_records(f"{name}/demand{d}", lambda: dispatch_table(table, ps[d])))
+    for d in range(len(ps)):
+        yield from records[d]
+    for d in order[:N_ONE_SHOT]:
+        yield from result_records(f"{name}/oneshot{d}", lambda: dispatch(network, ps[d]))
+
+
+def write_records(out, small: bool) -> int:
+    n = 0
+    for name, network in corpus(small):
+        for key, f, value in network_records(name, network):
+            out.write(f"{key} {f} {value}\n")
+            n += 1
+    return n
+
+
+def read_records(path: str) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        return {tuple(line.split(" ", 2)[:2]): line for line in fh}
+
+
+def diff(a_path: str, b_path: str) -> tuple[Counter, int]:
+    """Per field, the records that differ or exist on one side only, and
+    the number of records on either side."""
+    a, b = read_records(a_path), read_records(b_path)
+    keys = a.keys() | b.keys()
+    return Counter(rec[1] for rec in keys if a.get(rec) != b.get(rec)), len(keys)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("out", nargs="?", help="file to write the records to")
+    ap.add_argument("--src", help="source directory imported in place of this checkout's src/")
+    ap.add_argument("--small", action="store_true", help="the small corpus")
+    ap.add_argument("--diff", nargs=2, metavar=("A", "B"), help="compare two record files")
+    args = ap.parse_args(argv)
+    if args.diff:
+        counts, total = diff(*args.diff)
+        print(f"{sum(counts.values())} of {total} records differ")
+        for f, c in sorted(counts.items()):
+            print(f"  {f}: {c}")
+        return 1 if counts else 0
+    if args.out is None:
+        ap.error("give OUT or --diff A B")
+    src = Path(args.src) if args.src else TESTS.parent / "src"
+    sys.path[:0] = [str(src.resolve()), str(TESTS)]
+    with open(args.out, "w", encoding="utf-8") as out:
+        n = write_records(out, args.small)
+    print(f"{n} records written to {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
