@@ -19,9 +19,9 @@ import sys
 import time
 
 from .dispatch import DispatchStatus, build_table, dispatch, dispatch_table
-from .netconfig import _INFEASIBLE_MESSAGE, ConfigError, _parse_reduced, serialize_result, sweep_to_csv
+from .netconfig import _INFEASIBLE_MESSAGE, ConfigError, parse_network, serialize_result, sweep_to_csv
 from .reference import compare, grid_bruteforce, lambda_bisection
-from .stack_model import NetworkValidationError
+from .stack_model import NetworkValidationError, reduce_network
 
 _VALIDATE_TOL_CURRENT = 1e-3  # amperes, per branch
 _VALIDATE_GRID_POINTS = 200
@@ -34,7 +34,7 @@ def _load_stacks(path: str):
             text = fh.read()
     except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config {path!r}: {err}") from err
-    return _parse_reduced(text)[1]
+    return reduce_network(parse_network(text))
 
 
 def _emit(text: str, output: str | None) -> None:

@@ -4,7 +4,8 @@ Config files are UTF-8 JSON with top-level keys "version" and "branches";
 each branch holds "stacks" (objects with "a", "b", "phi"), "i_lb" and
 "i_ub". Every number must be finite; the string "inf" is the one
 non-numeric bound token and maps to an unbounded upper limit. Numbers
-round-trip bit-exactly through serialization.
+round-trip bit-exactly through serialization. parse_network validates by
+reducing every branch once, and reduce_network reuses that reduction.
 """
 
 from __future__ import annotations
@@ -14,13 +15,7 @@ import math
 from typing import Any, Sequence
 
 from .dispatch import DispatchResult, DispatchStatus
-from .stack_model import (
-    BranchSpec,
-    EquivalentStack,
-    Network,
-    SqrtStackParams,
-    reduce_network,
-)
+from .stack_model import BranchSpec, Network, SqrtStackParams, reduce_network
 
 _INFEASIBLE_MESSAGE = "Required power cannot be obtained"
 
@@ -64,13 +59,11 @@ def _upper_bound(obj: dict, key: str, j: int) -> float:
 
 
 def parse_network(text: str) -> Network:
-    """Parse and validate a config document, with positional diagnostics."""
-    return _parse_reduced(text)[0]
+    """Parse and validate a config document, with positional diagnostics.
 
-
-def _parse_reduced(text: str) -> tuple[Network, tuple[EquivalentStack, ...]]:
-    # parse_network plus the reduced branches its validation produces, so
-    # a caller that solves does not reduce every branch a second time.
+    Validation reduces every branch once, and the Network keeps that
+    reduction: reduce_network returns it rather than reducing again.
+    """
     try:
         doc = json.loads(text, parse_int=float, parse_constant=_non_json_constant)
     except json.JSONDecodeError as err:
@@ -88,35 +81,63 @@ def _parse_reduced(text: str) -> tuple[Network, tuple[EquivalentStack, ...]]:
 
     branches = []
     for j, raw in enumerate(raw_branches):
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{_where(j)}: expected an object")
-        raw_stacks = _require(raw, "stacks", j)
-        if not isinstance(raw_stacks, list) or not raw_stacks:
-            raise ConfigError(f"{_where(j)}: stacks must be a nonempty array")
-        stacks = []
-        for k, raw_stack in enumerate(raw_stacks):
-            if not isinstance(raw_stack, dict):
-                raise ConfigError(f"{_where(j, k)}: expected an object")
-            stacks.append(
-                SqrtStackParams(
-                    a=_number(raw_stack, "a", j, k),
-                    b=_number(raw_stack, "b", j, k),
-                    phi=_number(raw_stack, "phi", j, k),
-                )
-            )
-        branches.append(
-            BranchSpec(
-                stacks=tuple(stacks),
-                i_lb=_number(raw, "i_lb", j),
-                i_ub=_upper_bound(raw, "i_ub", j),
-            )
-        )
+        try:
+            branch = _read_branch(raw)
+        except (KeyError, TypeError):
+            branch = None
+        branches.append(_checked_branch(raw, j) if branch is None else branch)
 
     network = Network(branches=tuple(branches))
     try:
-        return network, reduce_network(network)
+        reduced = reduce_network(network)
     except ValueError as err:
         raise ConfigError(str(err)) from err
+    object.__setattr__(network, "_reduced", reduced)
+    return network
+
+
+def _read_branch(raw: Any) -> BranchSpec | None:
+    # The branch when every value in it is a finite float (or "inf" for
+    # i_ub), built without the frozen dataclasses' __init__. Anything else
+    # gives None, a KeyError or a TypeError, and _checked_branch names it.
+    inf, new = math.inf, object.__new__
+    stacks = []
+    for s in raw["stacks"]:
+        a, b, phi = s["a"], s["b"], s["phi"]
+        if not (type(a) is type(b) is type(phi) is float
+                and -inf < a < inf and -inf < b < inf and -inf < phi < inf):
+            return None
+        stack = new(SqrtStackParams)
+        d = stack.__dict__
+        d["a"], d["b"], d["phi"] = a, b, phi
+        stacks.append(stack)
+    i_lb, i_ub = raw["i_lb"], raw["i_ub"]
+    if i_ub == "inf":
+        i_ub = inf
+    elif not (type(i_ub) is float and -inf < i_ub < inf):
+        return None
+    if not (stacks and type(i_lb) is float and -inf < i_lb < inf):
+        return None
+    branch = new(BranchSpec)
+    d = branch.__dict__
+    d["stacks"], d["i_lb"], d["i_ub"] = tuple(stacks), i_lb, i_ub
+    return branch
+
+
+def _checked_branch(raw: Any, j: int) -> BranchSpec:
+    # branches[j] through the checks that name its first problem.
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{_where(j)}: expected an object")
+    raw_stacks = _require(raw, "stacks", j)
+    if not isinstance(raw_stacks, list) or not raw_stacks:
+        raise ConfigError(f"{_where(j)}: stacks must be a nonempty array")
+    stacks = []
+    for k, s in enumerate(raw_stacks):
+        if not isinstance(s, dict):
+            raise ConfigError(f"{_where(j, k)}: expected an object")
+        a, b, phi = _number(s, "a", j, k), _number(s, "b", j, k), _number(s, "phi", j, k)
+        stacks.append(SqrtStackParams(a, b, phi))
+    return BranchSpec(tuple(stacks), _number(raw, "i_lb", j), _upper_bound(raw, "i_ub", j))
 
 
 def serialize_network(network: Network) -> str:

@@ -52,6 +52,10 @@ class Network:
 
     branches: tuple[BranchSpec, ...]
 
+    # Not a field, so out of ==, hash, repr and asdict: netconfig.parse_network
+    # sets it on the instance to the reduction its validation computed.
+    _reduced = None
+
     def __post_init__(self):
         object.__setattr__(self, "branches", tuple(self.branches))
 
@@ -184,7 +188,13 @@ def validate_network(network: Network) -> Network:
 
 
 def reduce_network(network: Network) -> tuple[EquivalentStack, ...]:
-    """Validate and reduce every branch, preserving branch order."""
+    """Validate and reduce every branch, preserving branch order.
+
+    A network from netconfig.parse_network was reduced by its validation,
+    and that reduction is returned; any other network is reduced afresh.
+    """
+    if network._reduced is not None:
+        return network._reduced
     if not network.branches:
         raise NetworkValidationError("network has no branches")
     return tuple(reduce_branch(b, index=j) for j, b in enumerate(network.branches))

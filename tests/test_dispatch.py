@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from fcdispatch import (
+    BranchSpec,
     DispatchStatus,
     Network,
     InfeasibleDemandError,
     NetworkValidationError,
     PointKind,
     SegmentSolveError,
+    SqrtStackParams,
     build_table,
     dispatch,
     dispatch_table,
@@ -598,3 +600,25 @@ def test_verify_kkt_at_peak_demand(bench30_network, bench30_stacks):
     report = verify_kkt(result, bench30_network)
     assert report.chain_ok
     assert math.isinf(report.lambda_) or report.lambda_ > 1e9
+
+
+# One branch with a tiny |b|: its table is finite (levels 1.0 and 0.0), but a
+# 0.5 W demand needs the level 1 - 1.06e-100, which rounds to 1.0, and one
+# ulp below 1.0 already gives 5.5e167 W (ROADMAP item 4, cause (c)).
+TINY_B = Network(branches=(BranchSpec(stacks=(SqrtStackParams(a=1.0, b=-1e-100),), i_lb=0.0),))
+
+
+@pytest.mark.xfail(strict=True, raises=SegmentSolveError, reason="the demand's level rounds to 1.0")
+def test_tiny_b_branch_meets_a_demand_inside_its_table():
+    result = dispatch_table(build_table(reduce_network(TINY_B)), 0.5)
+    assert result.status is DispatchStatus.OPTIMAL
+    assert abs(result.total_power - 0.5) <= 1e-9
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="returns 0.0 A, which delivers 0 W")
+def test_lambda_bisection_on_a_tiny_b_branch_meets_the_demand_or_raises():
+    try:
+        result = lambda_bisection(TINY_B, 0.5)
+    except ValueError:
+        return
+    assert abs(result.total_power - 0.5) <= 1e-9

@@ -1,15 +1,23 @@
+import copy
+import dataclasses
 import json
 import math
+import pickle
 
 import pytest
 
 from fcdispatch import (
+    BranchSpec,
     ConfigError,
+    Network,
+    SqrtStackParams,
     dispatch,
     parse_network,
+    reduce_network,
     serialize_network,
     serialize_result,
     sweep_to_csv,
+    validate_network,
 )
 
 
@@ -226,3 +234,158 @@ def test_parse_keeps_inf_string_and_integer_bounds():
     net = parse_network(json.dumps(doc))
     assert [b.i_ub for b in net.branches] == [10.0, math.inf]
     assert all(type(b.i_lb) is float for b in net.branches)
+
+
+def second_branch_text(field: str, literal: str | None) -> str:
+    """A two-branch config whose second branch has two stacks. The raw JSON
+    text literal replaces field of that branch's second stack (a, b, phi),
+    of the branch (stacks, i_lb, i_ub), or that stack or branch itself
+    ("stack", "branch"); a None literal leaves the key out."""
+    stack = dict(STACK)
+    branch = {**BRANCH, "stacks": [STACK, stack]}
+    doc = {"version": "1", "branches": [BRANCH, branch]}
+    if field == "branch":
+        doc["branches"][1] = "@"
+    elif field == "stack":
+        branch["stacks"][1] = "@"
+    elif literal is None:
+        del (stack if field in stack else branch)[field]
+    else:
+        (stack if field in stack else branch)[field] = "@"
+    return json.dumps(doc).replace('"@"', str(literal))
+
+
+def _number_case(field: str, literal: str, shown: str):
+    where = "branches[1].stacks[1]" if field in STACK else "branches[1]"
+    return field, literal, f"{where}.{field}: expected a finite number, got {shown}"
+
+
+# (field, raw JSON literal or None for a missing key, the exact message)
+MALFORMED = (
+    [
+        _number_case(field, literal, shown)
+        for field in ("a", "b", "phi", "i_lb", "i_ub")
+        for literal, shown in (("true", "True"), ("false", "False"), ("null", "None"), ("1e999", "inf"))
+    ]
+    + [
+        _number_case("i_ub", '"Inf"', "'Inf'"),
+        _number_case("i_ub", '"INF"', "'INF'"),
+        ("stacks", "{}", "branches[1]: stacks must be a nonempty array"),
+        ("stacks", '"ab"', "branches[1]: stacks must be a nonempty array"),
+        ("stacks", "[]", "branches[1]: stacks must be a nonempty array"),
+        ("branch", "[1.0]", "branches[1]: expected an object"),
+        ("branch", '"ab"', "branches[1]: expected an object"),
+        ("branch", "null", "branches[1]: expected an object"),
+        ("stack", "[40.0]", "branches[1].stacks[1]: expected an object"),
+        ("stack", "40.0", "branches[1].stacks[1]: expected an object"),
+    ]
+    + [
+        (key, None, f"{where}: missing required key {key!r}")
+        for key, where in (
+            ("stacks", "branches[1]"),
+            ("a", "branches[1].stacks[1]"),
+            ("b", "branches[1].stacks[1]"),
+            ("phi", "branches[1].stacks[1]"),
+            ("i_lb", "branches[1]"),
+            ("i_ub", "branches[1]"),
+        )
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "field, literal, message", MALFORMED, ids=[f"{f}-{lit or 'missing'}" for f, lit, _ in MALFORMED]
+)
+def test_parse_names_each_malformed_value_exactly(field, literal, message):
+    with pytest.raises(ConfigError) as err:
+        parse_network(second_branch_text(field, literal))
+    assert str(err.value) == message
+
+
+def test_parse_names_the_first_problem_in_document_order():
+    bad_b = {**BRANCH, "stacks": [{**STACK, "b": 0.5}]}
+    bad_a = {**BRANCH, "stacks": [{**STACK, "a": "forty"}]}
+    bad_lb = {**BRANCH, "i_lb": None}
+    with pytest.raises(ConfigError) as err:
+        parse_network(json.dumps({"version": "1", "branches": [BRANCH, bad_a, bad_lb]}))
+    assert str(err.value) == "branches[1].stacks[0].a: expected a finite number, got 'forty'"
+    # Every value is read before any branch is validated against the model.
+    with pytest.raises(ConfigError) as err:
+        parse_network(json.dumps({"version": "1", "branches": [bad_b, bad_lb]}))
+    assert str(err.value) == "branches[1].i_lb: expected a finite number, got None"
+    with pytest.raises(ConfigError) as err:
+        parse_network(json.dumps({"version": "1", "branches": [BRANCH, bad_b, bad_b]}))
+    assert str(err.value) == "branches[1].stacks[0]: b must be finite and < 0, got 0.5"
+
+
+def test_parse_reads_integers_as_floats_and_ignores_extra_keys():
+    text = json.dumps(
+        {
+            "version": "1",
+            "comment": [1, 2],
+            "branches": [
+                {"stacks": [{"a": 40, "b": -1, "phi": 1, "id": "s1"}], "i_lb": 0, "i_ub": 10, "id": None},
+            ],
+        }
+    )
+    net = parse_network(text)
+    branch = net.branches[0]
+    stack = branch.stacks[0]
+    assert all(type(v) is float for v in (stack.a, stack.b, stack.phi, branch.i_lb, branch.i_ub))
+    assert net == Network(branches=(BranchSpec(stacks=(SqrtStackParams(40.0, -1.0, 1.0),), i_lb=0.0, i_ub=10.0),))
+
+
+def built_in_code(network: Network) -> Network:
+    """The same network through the public constructors."""
+    return Network(
+        branches=tuple(
+            BranchSpec(
+                stacks=tuple(SqrtStackParams(a=s.a, b=s.b, phi=s.phi) for s in b.stacks),
+                i_lb=b.i_lb,
+                i_ub=b.i_ub,
+            )
+            for b in network.branches
+        )
+    )
+
+
+def test_parsed_network_is_indistinguishable_from_one_built_in_code(bench30_config_text):
+    parsed = parse_network(bench30_config_text)
+    built = built_in_code(parsed)
+    assert dataclasses.fields(parsed) == dataclasses.fields(built)
+    assert dataclasses.asdict(parsed) == dataclasses.asdict(built)
+    assert parsed == built
+    assert hash(parsed) == hash(built)
+    assert repr(parsed) == repr(built)
+    for branch, twin in zip(parsed.branches, built.branches):
+        assert hash(branch) == hash(twin) and repr(branch) == repr(twin)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            branch.i_lb = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            branch.stacks[0].a = 1.0
+    for twin in (pickle.loads(pickle.dumps(parsed)), copy.deepcopy(parsed)):
+        assert twin == parsed and repr(twin) == repr(parsed)
+        assert reduce_network(twin) == reduce_network(built)
+
+
+def test_a_parsed_network_is_reduced_once(bench30_config_text, reduce_branch_calls):
+    net = parse_network(bench30_config_text)
+    assert reduce_branch_calls == list(range(15))  # validation
+    stacks = reduce_network(net)
+    validate_network(net)
+    dispatch(net, 75_000.0)
+    assert reduce_branch_calls == list(range(15))
+
+    built = built_in_code(net)
+    for _ in range(2):
+        reduce_branch_calls.clear()
+        assert reduce_network(built) == stacks
+        assert reduce_branch_calls == list(range(15))
+
+    # A replaced network is reduced afresh, from its own branches.
+    reduce_branch_calls.clear()
+    capped = BranchSpec(stacks=net.branches[0].stacks, i_lb=0.1, i_ub=50.0)
+    replaced = dataclasses.replace(net, branches=(capped,) + net.branches[1:])
+    assert reduce_network(replaced)[0].i_ub_eff == 50.0
+    assert reduce_network(replaced)[1:] == stacks[1:]
+    assert reduce_branch_calls == list(range(15)) * 2

@@ -25,6 +25,12 @@ def test_records_of_the_small_corpus_diff_to_zero_and_count_a_change(tmp_path):
     fields = {line.split(" ", 2)[1] for line in lines}
     assert {"a_eq", "mu", "cumulative_power", "sums", "p_max", "currents", "sets.at_ub"} <= fields
     assert all(" raise " not in line for line in lines)
+    # The config route reduces every network to the stacks it reduces to
+    # when built in code, bit for bit.
+    values = {tuple(line.split(" ", 2)[:2]): line.split(" ", 2)[2] for line in lines}
+    parsed = [(key, f) for key, f in values if "/parsed-stack" in key]
+    assert {key.split("/")[0] for key, _ in parsed} == {key.split("/")[0] for key, _ in values}
+    assert all(values[key.replace("/parsed-stack", "/stack"), f] == values[key, f] for key, f in parsed)
 
     same = run_tool("--diff", a, a)
     assert same.returncode == 0

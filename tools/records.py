@@ -9,8 +9,10 @@ float.hex, so two commits can be compared bit for bit:
 A record line is ``<key> <field> <value>``. Per network it holds the
 reduced stacks, the table's points, its private per-branch columns,
 p_min/p_max, and the results of a fixed list of demands, solved in a seeded
-order on one shared table and, for a few, by a one-shot dispatch(). A raise
-is recorded as the exception's type and message. --src puts another
+order on one shared table and, for a few, by a one-shot dispatch(). It also
+holds the network's config route: serialize_network, parse_network and
+reduce_network, with the parsed floats and the reduced stacks. A raise is
+recorded as the exception's type and message. --src puts another
 checkout's source directory first on the import path, so the records of a
 parent commit come from its own code; the corpus generators are those of
 tests/conftest.py next to this file. --diff counts the records that differ,
@@ -29,6 +31,7 @@ import math
 import random
 import sys
 from collections import Counter
+from itertools import chain
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent.parent / "tests"
@@ -147,10 +150,29 @@ def network_records(name: str, network):
         yield from result_records(f"{name}/oneshot{d}", lambda: dispatch(network, ps[d]))
 
 
+def parse_records(name: str, network):
+    """The network through its config text: the parsed floats and the
+    reduction that reduce_network returns for the parsed network."""
+    from fcdispatch import parse_network, reduce_network, serialize_network
+
+    try:
+        parsed = parse_network(serialize_network(network))
+        stacks = reduce_network(parsed)
+    except Exception as err:
+        yield f"{name}/parsed", "raise", f"{type(err).__name__}: {err}"
+        return
+    for j, (branch, s) in enumerate(zip(parsed.branches, stacks)):
+        yield f"{name}/parsed{j}", "stacks", fmt([(t.a, t.b, t.phi) for t in branch.stacks])
+        yield f"{name}/parsed{j}", "i_lb", fmt(branch.i_lb)
+        yield f"{name}/parsed{j}", "i_ub", fmt(branch.i_ub)
+        for f in STACK_FIELDS:
+            yield f"{name}/parsed-stack{j}", f, fmt(getattr(s, f))
+
+
 def write_records(out, small: bool) -> int:
     n = 0
     for name, network in corpus(small):
-        for key, f, value in network_records(name, network):
+        for key, f, value in chain(network_records(name, network), parse_records(name, network)):
             out.write(f"{key} {f} {value}\n")
             n += 1
     return n
