@@ -6,9 +6,10 @@ range included), config error (unreadable, not UTF-8, malformed or invalid,
 a branch whose powers or marginal levels lie beyond the float range, or one
 whose phi-weighted b underflows to zero) or unwritable --output, with stdout
 empty;
-3 infeasible demand; 4 validation mismatch. Data goes to stdout (or --output);
-diagnostics and timings go to stderr so repeated invocations stay
-byte-identical.
+3 infeasible demand; 4 validation mismatch, or a lambda_bisection that
+raises (its message on stderr, stdout empty). Data goes to stdout (or
+--output); diagnostics and timings go to stderr so repeated invocations
+stay byte-identical.
 """
 
 from __future__ import annotations
@@ -105,7 +106,11 @@ def _cmd_validate(args) -> int:
         return 3
 
     t0 = time.perf_counter()
-    oracle = lambda_bisection(stacks, args.power)
+    try:
+        oracle = lambda_bisection(stacks, args.power)
+    except ValueError as err:
+        print(f"validate: lambda bisection failed: {err}", file=sys.stderr)
+        return 4
     t_oracle = time.perf_counter() - t0
     report = compare(result, oracle, _VALIDATE_TOL_CURRENT)
 

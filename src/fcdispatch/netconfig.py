@@ -4,8 +4,9 @@ Config files are UTF-8 JSON with top-level keys "version" and "branches";
 each branch holds "stacks" (objects with "a", "b", "phi"), "i_lb" and
 "i_ub". Every number must be finite; the string "inf" is the one
 non-numeric bound token and maps to an unbounded upper limit. Numbers
-round-trip bit-exactly through serialization. parse_network validates by
-reducing every branch once, and reduce_network reuses that reduction.
+round-trip bit-exactly through serialization. parse_network names the
+first problem in document order with its location, validates by reducing
+every branch once, and reduce_network reuses that reduction.
 """
 
 from __future__ import annotations
@@ -52,17 +53,12 @@ def _non_json_constant(token: str) -> float:
     raise ConfigError(f"invalid JSON: {token} is not a number")
 
 
-def _upper_bound(obj: dict, key: str, j: int) -> float:
-    if obj.get(key) == "inf":
-        return math.inf
-    return _number(obj, key, j)
-
-
 def parse_network(text: str) -> Network:
     """Parse and validate a config document, with positional diagnostics.
 
-    Validation reduces every branch once, and the Network keeps that
-    reduction: reduce_network returns it rather than reducing again.
+    Each branch is read in one walk; the first value that fails a check
+    raises ConfigError naming its location. Validation then reduces every
+    branch once, and reduce_network returns the reduction the Network keeps.
     """
     try:
         doc = json.loads(text, parse_int=float, parse_constant=_non_json_constant)
@@ -79,15 +75,7 @@ def parse_network(text: str) -> Network:
     if not isinstance(raw_branches, list) or not raw_branches:
         raise ConfigError(f"{_where(None)}: branches must be a nonempty array")
 
-    branches = []
-    for j, raw in enumerate(raw_branches):
-        try:
-            branch = _read_branch(raw)
-        except (KeyError, TypeError):
-            branch = None
-        branches.append(_checked_branch(raw, j) if branch is None else branch)
-
-    network = Network(branches=tuple(branches))
+    network = Network(branches=[_read_branch(raw, j) for j, raw in enumerate(raw_branches)])
     try:
         reduced = reduce_network(network)
     except ValueError as err:
@@ -96,48 +84,46 @@ def parse_network(text: str) -> Network:
     return network
 
 
-def _read_branch(raw: Any) -> BranchSpec | None:
-    # The branch when every value in it is a finite float (or "inf" for
-    # i_ub), built without the frozen dataclasses' __init__. Anything else
-    # gives None, a KeyError or a TypeError, and _checked_branch names it.
+def _read_branch(raw: Any, j: int) -> BranchSpec:
+    # branches[j], read by subscript and built without the frozen
+    # dataclasses' __init__: a value passes when its type is exactly float
+    # and a comparison chain shows it finite ("inf" only for i_ub). Where a
+    # read or a chain fails, _require and _number name the first problem.
     inf, new = math.inf, object.__new__
+    try:
+        raw_stacks, i_lb, i_ub = raw["stacks"], raw["i_lb"], raw["i_ub"]
+    except (KeyError, TypeError):
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{_where(j)}: expected an object")
+        raw_stacks, i_lb, i_ub = _require(raw, "stacks", j), None, None
+    if not isinstance(raw_stacks, list) or not raw_stacks:
+        raise ConfigError(f"{_where(j)}: stacks must be a nonempty array")
     stacks = []
-    for s in raw["stacks"]:
-        a, b, phi = s["a"], s["b"], s["phi"]
+    for s in raw_stacks:
+        try:
+            a, b, phi = s["a"], s["b"], s["phi"]
+        except (KeyError, TypeError):
+            a = b = phi = None
         if not (type(a) is type(b) is type(phi) is float
                 and -inf < a < inf and -inf < b < inf and -inf < phi < inf):
-            return None
+            k = [id(t) for t in raw_stacks].index(id(s))  # an earlier s would have failed
+            if not isinstance(s, dict):
+                raise ConfigError(f"{_where(j, k)}: expected an object")
+            a, b, phi = _number(s, "a", j, k), _number(s, "b", j, k), _number(s, "phi", j, k)
         stack = new(SqrtStackParams)
         d = stack.__dict__
         d["a"], d["b"], d["phi"] = a, b, phi
         stacks.append(stack)
-    i_lb, i_ub = raw["i_lb"], raw["i_ub"]
+    if not (type(i_lb) is float and -inf < i_lb < inf):
+        i_lb = _number(raw, "i_lb", j)
     if i_ub == "inf":
         i_ub = inf
     elif not (type(i_ub) is float and -inf < i_ub < inf):
-        return None
-    if not (stacks and type(i_lb) is float and -inf < i_lb < inf):
-        return None
+        i_ub = _number(raw, "i_ub", j)
     branch = new(BranchSpec)
     d = branch.__dict__
     d["stacks"], d["i_lb"], d["i_ub"] = tuple(stacks), i_lb, i_ub
     return branch
-
-
-def _checked_branch(raw: Any, j: int) -> BranchSpec:
-    # branches[j] through the checks that name its first problem.
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{_where(j)}: expected an object")
-    raw_stacks = _require(raw, "stacks", j)
-    if not isinstance(raw_stacks, list) or not raw_stacks:
-        raise ConfigError(f"{_where(j)}: stacks must be a nonempty array")
-    stacks = []
-    for k, s in enumerate(raw_stacks):
-        if not isinstance(s, dict):
-            raise ConfigError(f"{_where(j, k)}: expected an object")
-        a, b, phi = _number(s, "a", j, k), _number(s, "b", j, k), _number(s, "phi", j, k)
-        stacks.append(SqrtStackParams(a, b, phi))
-    return BranchSpec(tuple(stacks), _number(raw, "i_lb", j), _upper_bound(raw, "i_ub", j))
 
 
 def serialize_network(network: Network) -> str:

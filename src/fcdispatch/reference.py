@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .dispatch import _EDGE_RTOL, _MAX_ITER, DispatchResult, DispatchStatus
+from .dispatch import _EDGE_RTOL, _MAX_ITER, _POWER_RTOL, DispatchResult, DispatchStatus
 from .stack_model import EquivalentStack, Network, as_equivalent_stacks
 
 if TYPE_CHECKING:
@@ -54,7 +54,9 @@ def lambda_bisection(
     spans from the flattest upper-bound marginal to the steepest lower-bound
     marginal, and is halved down to float resolution. The obtainable range is
     summed directly from the bound powers. Raises ValueError for demands
-    outside it.
+    outside it, and for a split whose power misses the demand by more than
+    the 1e-9 relative balance (a NaN total included): where the level
+    cannot resolve the demand, the oracle says so instead of returning it.
     """
     stacks = as_equivalent_stacks(network)
     lo = min(s.marginal_power(s.i_ub_eff) for s in stacks)
@@ -83,10 +85,13 @@ def lambda_bisection(
             hi = mu
 
     currents = tuple(s.inverse_marginal(mu) for s in stacks)
+    total_power = sum(s.power(i) for s, i in zip(stacks, currents))
+    if not abs(total_power - p_req) <= _POWER_RTOL * max(1.0, abs(p_req)):
+        raise ValueError(f"power balance missed: got {total_power} W for demand {p_req} W")
     return OracleResult(
         currents=currents,
         total_current=sum(currents),
-        total_power=sum(s.power(i) for s, i in zip(stacks, currents)),
+        total_power=total_power,
         method=OracleMethod.LAMBDA_BISECTION,
     )
 

@@ -116,11 +116,13 @@ def effective_upper_bound(a_eq: float, b_eq: float, i_ub: float) -> float:
 
 
 def _stack_problem(stack: SqrtStackParams) -> str | None:
-    if not (stack.a >= 0.0 and math.isfinite(stack.a)):
+    # Names the first of reduce_branch's stack tests that fails; the tests
+    # are its comparison chain's, term by term.
+    if not 0.0 <= stack.a < math.inf:
         return f"a must be finite and >= 0, got {stack.a}"
-    if not (stack.b < 0.0 and math.isfinite(stack.b)):
+    if not -math.inf < stack.b < 0.0:
         return f"b must be finite and < 0, got {stack.b}"
-    if not (0.0 < stack.phi <= 1.0):
+    if not 0.0 < stack.phi <= 1.0:
         return f"phi must be in (0, 1], got {stack.phi}"
     return None
 
@@ -130,41 +132,32 @@ def _where(index: int | None) -> str:
     return "branch" if index is None else f"branches[{index}]"
 
 
-def _check_branch(branch: BranchSpec, index: int | None) -> None:
-    if not branch.stacks:
-        raise NetworkValidationError(f"{_where(index)}: branch has no stacks")
-    for k, stack in enumerate(branch.stacks):
-        problem = _stack_problem(stack)
-        if problem is not None:
-            raise NetworkValidationError(f"{_where(index)}.stacks[{k}]: {problem}")
-    if not (branch.i_lb >= 0.0 and math.isfinite(branch.i_lb)):
-        raise NetworkValidationError(
-            f"{_where(index)}: i_lb must be finite and >= 0, got {branch.i_lb}"
-        )
-    if math.isnan(branch.i_ub) or branch.i_ub < branch.i_lb:
-        raise NetworkValidationError(
-            f"{_where(index)}: need i_lb <= i_ub, got i_lb={branch.i_lb}, i_ub={branch.i_ub}"
-        )
-
-
 def reduce_branch(branch: BranchSpec, index: int | None = None) -> EquivalentStack:
     """Collapse a series branch to its exact single-stack equivalent.
 
     a_eq and b_eq are the phi-weighted coefficient sums, which preserves
     branch power identically for every current; a b_eq that underflows to
-    zero has no power peak and is rejected. One comparison chain per stack
-    tests what _check_branch does, which names a failure.
+    zero has no power peak and is rejected. The first check to fail, in the
+    order stacks, each stack, i_lb, i_lb <= i_ub, raises and is named.
     """
     stacks, i_lb, i_ub = branch.stacks, branch.i_lb, branch.i_ub
-    if not (stacks and 0.0 <= i_lb < math.inf and i_lb <= i_ub):
-        _check_branch(branch, index)
+    inf = math.inf
+    if not stacks:
+        raise NetworkValidationError(f"{_where(index)}: branch has no stacks")
     a_terms, b_terms = [], []
     for s in stacks:
         a, b, phi = s.a, s.b, s.phi
-        if not (0.0 <= a < math.inf and -math.inf < b < 0.0 and 0.0 < phi <= 1.0):
-            _check_branch(branch, index)
+        if not (0.0 <= a < inf and -inf < b < 0.0 and 0.0 < phi <= 1.0):
+            k = [id(t) for t in stacks].index(id(s))  # an earlier s would have failed
+            raise NetworkValidationError(f"{_where(index)}.stacks[{k}]: {_stack_problem(s)}")
         a_terms.append(phi * a)
         b_terms.append(phi * b)
+    if not 0.0 <= i_lb < inf:
+        raise NetworkValidationError(f"{_where(index)}: i_lb must be finite and >= 0, got {i_lb}")
+    if not i_lb <= i_ub:
+        raise NetworkValidationError(
+            f"{_where(index)}: need i_lb <= i_ub, got i_lb={i_lb}, i_ub={i_ub}"
+        )
     a_eq, b_eq = sum(a_terms), sum(b_terms)
     if not b_eq < 0.0:
         raise NetworkValidationError(f"{_where(index)}: sum of phi*b underflows to {b_eq}")

@@ -262,6 +262,19 @@ def test_validate_corrupted_dispatch_exits_4(capsys, bench3_config, monkeypatch)
     assert "result: FAIL" in out
 
 
+def test_validate_exits_4_when_lambda_bisection_raises(capsys, bench3_config, monkeypatch):
+    def missed(network, p_req):
+        raise ValueError(f"power balance missed: got 0.0 W for demand {p_req} W")
+
+    monkeypatch.setattr("fcdispatch.cli.lambda_bisection", missed)
+    code, out, err = run_cli(capsys, "validate", bench3_config, "--power", "8000")
+    assert code == 4
+    assert out == ""
+    assert err == (
+        "validate: lambda bisection failed: power balance missed: got 0.0 W for demand 8000.0 W\n"
+    )
+
+
 def test_validate_reduces_the_network_once(capsys, bench3_config, reduce_branch_calls):
     code, _, _ = run_cli(capsys, "validate", bench3_config, "--power", "8000")
     assert code == 0

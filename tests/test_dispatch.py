@@ -615,10 +615,18 @@ def test_tiny_b_branch_meets_a_demand_inside_its_table():
     assert abs(result.total_power - 0.5) <= 1e-9
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="returns 0.0 A, which delivers 0 W")
 def test_lambda_bisection_on_a_tiny_b_branch_meets_the_demand_or_raises():
     try:
         result = lambda_bisection(TINY_B, 0.5)
     except ValueError:
         return
     assert abs(result.total_power - 0.5) <= 1e-9
+
+
+def test_lambda_bisection_raises_where_a_tiny_b_current_overflows():
+    # At b = -1e-160 the power peak lies beyond the float range: the level
+    # bisection ends at an infinite current, whose power is NaN.
+    net = Network(branches=(BranchSpec(stacks=(SqrtStackParams(a=1.0, b=-1e-160),), i_lb=0.0),))
+    with pytest.raises(ValueError) as info:
+        lambda_bisection(net, 0.5)
+    assert str(info.value) == "power balance missed: got nan W for demand 0.5 W"

@@ -318,6 +318,43 @@ def test_parse_names_the_first_problem_in_document_order():
     assert str(err.value) == "branches[1].stacks[0]: b must be finite and < 0, got 0.5"
 
 
+# (a second branch with two problems, the exact message): the problem that
+# comes first in document order is named.
+WITHIN_A_BRANCH = [
+    (
+        {"stacks": [{**STACK, "a": "forty"}], "i_ub": 10},
+        "branches[1].stacks[0].a: expected a finite number, got 'forty'",
+    ),
+    (
+        {"stacks": [STACK, [40.0]], "i_lb": 0, "i_ub": "Inf"},
+        "branches[1].stacks[1]: expected an object",
+    ),
+    ({"i_lb": "zero", "i_ub": 10}, "branches[1]: missing required key 'stacks'"),
+    (
+        {"stacks": [STACK], "i_lb": None, "i_ub": "inf"},
+        "branches[1].i_lb: expected a finite number, got None",
+    ),
+    ({"stacks": [], "i_lb": 0}, "branches[1]: stacks must be a nonempty array"),
+]
+
+
+@pytest.mark.parametrize(
+    "branch, message",
+    WITHIN_A_BRANCH,
+    ids=[
+        "bad-a-missing-i_lb",
+        "list-stack-Inf-i_ub",
+        "missing-stacks-bad-i_lb",
+        "inf-i_ub-null-i_lb",
+        "empty-stacks-missing-i_ub",
+    ],
+)
+def test_parse_names_the_first_problem_within_a_branch(branch, message):
+    with pytest.raises(ConfigError) as err:
+        parse_network(json.dumps({"version": "1", "branches": [BRANCH, branch]}))
+    assert str(err.value) == message
+
+
 def test_parse_reads_integers_as_floats_and_ignores_extra_keys():
     text = json.dumps(
         {

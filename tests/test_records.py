@@ -24,6 +24,8 @@ def test_records_of_the_small_corpus_diff_to_zero_and_count_a_change(tmp_path):
     lines = a.read_text().splitlines()
     fields = {line.split(" ", 2)[1] for line in lines}
     assert {"a_eq", "mu", "cumulative_power", "sums", "p_max", "currents", "sets.at_ub"} <= fields
+    # Every _Columns field, and the corrupted configs' errors and parses.
+    assert {"p_low", "p_high", "config_error", "config_parsed"} <= fields
     assert all(" raise " not in line for line in lines)
     # The config route reduces every network to the stacks it reduces to
     # when built in code, bit for bit.

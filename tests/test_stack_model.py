@@ -314,14 +314,18 @@ _OK = (40.0, -0.5, 1.0)  # (a, b, phi)
         ((_OK,), 0.0, math.nan, ": need i_lb <= i_ub, got i_lb=0.0, i_ub=nan"),
         ((_OK,), 5.0, 2.0, ": need i_lb <= i_ub, got i_lb=5.0, i_ub=2.0"),
         (((3.0, -1.0, 1.0),), 9.0, 20.0, ": power peaks at 4 A, below i_lb=9.0"),
-        # Several problems: the stack's comes first.
+        # Several problems: the first in the order stacks, each stack, i_lb,
+        # i_lb <= i_ub is named.
         (((-1.0, 0.5, 1.0),), -1.0, -2.0, ".stacks[0]: a must be finite and >= 0, got -1.0"),
+        ((), math.nan, 1.0, ": branch has no stacks"),
+        ((_OK, (40.0, -0.5, 2.0)), 0.0, -1.0, ".stacks[1]: phi must be in (0, 1], got 2.0"),
+        ((_OK,), -1.0, math.nan, ": i_lb must be finite and >= 0, got -1.0"),
     ],
 )
 def test_validation_messages_are_exact(stacks, i_lb, i_ub, message):
-    # reduce_branch tests each stack in one comparison chain and leaves
-    # naming the problem to _check_branch; the whole message is pinned, with
-    # and without a branch index.
+    # reduce_branch checks the stacks, each stack's comparison chain, i_lb
+    # and then i_lb <= i_ub, and raises at the first that fails; the whole
+    # message is pinned, with and without a branch index.
     branch = BranchSpec(stacks=tuple(SqrtStackParams(*s) for s in stacks), i_lb=i_lb, i_ub=i_ub)
     for index, where in ((None, "branch"), (4, "branches[4]")):
         with pytest.raises(NetworkValidationError) as info:

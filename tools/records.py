@@ -11,22 +11,27 @@ reduced stacks, the table's points, its private per-branch columns,
 p_min/p_max, and the results of a fixed list of demands, solved in a seeded
 order on one shared table and, for a few, by a one-shot dispatch(). It also
 holds the network's config route: serialize_network, parse_network and
-reduce_network, with the parsed floats and the reduced stacks. A raise is
-recorded as the exception's type and message. --src puts another
-checkout's source directory first on the import path, so the records of a
-parent commit come from its own code; the corpus generators are those of
-tests/conftest.py next to this file. --diff counts the records that differ,
-or exist on one side only, per field.
+reduce_network, with the parsed floats and the reduced stacks, and a
+seeded set of corrupted copies of its config text, each with one to three
+values, stacks or branches of one branch replaced by a wrong literal or
+deleted: the error parse_network raises (field config_error), or the
+floats it parsed. A raise is recorded as the exception's type and message.
+--src puts another checkout's source directory first on the import path,
+so the records of a parent commit come from its own code; the corpus
+generators are those of tests/conftest.py next to this file. --diff counts
+the records that differ, or exist on one side only, per field.
 
 The corpus: bench3, bench30, make_random_network(default_rng(s), n) for
 s = 0..2 and n = 2..60, 300 make_wide_network(random.Random(11)) networks
-and make_random_network(default_rng(1), 1000). --small keeps bench3,
-bench30, n = 2..10 for s = 0 and 20 wide networks.
+and make_random_network(default_rng(1), 1000), with 4 corrupted configs
+each. --small keeps bench3, bench30, n = 2..10 for s = 0 and 20 wide
+networks, with 6 corrupted configs each.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import random
 import sys
@@ -35,10 +40,6 @@ from itertools import chain
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent.parent / "tests"
-# The column fields recorded, in _Columns' order.
-COLUMNS = (
-    "i_lb", "i_ub", "p_lb", "p_ub", "line", "lb_order", "lb_key", "ub_order", "ub_key", "sums"
-)
 STACK_FIELDS = ("a_eq", "b_eq", "i_lb", "i_ub", "i_ub_eff")
 RESULT_FIELDS = (
     "status", "p_req", "feasible_range", "currents", "total_current", "total_power", "mu"
@@ -47,6 +48,14 @@ SET_FIELDS = ("at_lb", "interior", "at_ub", "p_req_eff", "mu_high", "mu_low")
 N_SAMPLED_POINTS = 16  # breakpoints whose direct power (and neighbours) are demands
 N_UNIFORM = 8
 N_ONE_SHOT = 3
+# JSON literals a corrupted config puts in place of a value, a stack or a
+# branch: wrong types, "inf" where it is not allowed and a misspelt "Inf",
+# tokens outside JSON, numbers beyond the float range, and numbers the
+# model rejects or that invert a branch's bounds.
+LITERALS = (
+    "null", "true", '"inf"', '"Inf"', '"ab"', "[]", "{}", "[1.0]", "0", "-1.0", "2.0",
+    "1e999", "-1e999", "NaN", "Infinity", "-5e-324", "1e308",
+)
 
 
 def fmt(v) -> str:
@@ -132,7 +141,7 @@ def network_records(name: str, network):
     for k, pt in enumerate(table.points):
         for f in ("mu", "branch_index", "kind", "cumulative_power"):
             yield f"{name}/point{k}", f, fmt(getattr(pt, f))
-    for f in COLUMNS:
+    for f in table._columns._fields:
         yield f"{name}/columns", f, fmt(getattr(table._columns, f))
     yield name, "p_min", fmt(table.p_min)
     yield name, "p_max", fmt(table.p_max)
@@ -169,10 +178,81 @@ def parse_records(name: str, network):
             yield f"{name}/parsed-stack{j}", f, fmt(getattr(s, f))
 
 
+def _corruption_site(r: random.Random, branches: list, j: int):
+    # A (container, key) in or at branches[j]: the branch, one of its keys,
+    # one of its stacks or one of that stack's keys. None where the path
+    # runs into a value that an earlier corruption left without one.
+    if j >= len(branches):
+        return None
+    depth = r.choice((0, 1, 1, 1, 2, 3, 3, 3))
+    if depth == 0:
+        return branches, j
+    branch = branches[j]
+    if not isinstance(branch, dict):
+        return None
+    if depth == 1:
+        return branch, r.choice(("stacks", "i_lb", "i_ub"))
+    stacks = branch.get("stacks")
+    if not isinstance(stacks, list) or not stacks:
+        return None
+    k = r.randrange(len(stacks))
+    if depth == 2 or not isinstance(stacks[k], dict):
+        return stacks, k
+    return stacks[k], r.choice(("a", "b", "phi"))
+
+
+def corrupted_configs(text: str, r: random.Random, count: int):
+    """count copies of a config text, each with one to three values,
+    stacks or branches of one branch replaced by a LITERALS entry (three
+    times in four) or deleted."""
+    for _ in range(count):
+        doc = json.loads(text)
+        branches = doc["branches"]
+        j, literals = r.randrange(len(branches)), []
+        for _ in range(r.randint(1, 3)):
+            site = _corruption_site(r, branches, j)
+            if site is None:
+                continue
+            container, key = site
+            if r.random() < 0.25:
+                if isinstance(container, list):
+                    del container[key]
+                else:
+                    container.pop(key, None)
+            else:
+                container[key] = f"@{len(literals)}@"
+                literals.append(r.choice(LITERALS))
+        out = json.dumps(doc)
+        for n, literal in enumerate(literals):
+            out = out.replace(f'"@{n}@"', literal)
+        yield out
+
+
+def config_records(name: str, network, count: int):
+    """What parse_network makes of count corrupted copies of the network's
+    config text: its error, or the floats of every branch it parsed."""
+    from fcdispatch import parse_network, serialize_network
+
+    texts = corrupted_configs(serialize_network(network), random.Random(name), count)
+    for c, text in enumerate(texts):
+        try:
+            parsed = parse_network(text)
+        except Exception as err:
+            yield f"{name}/config{c}", "config_error", f"{type(err).__name__}: {err}"
+            continue
+        floats = [([(t.a, t.b, t.phi) for t in b.stacks], b.i_lb, b.i_ub) for b in parsed.branches]
+        yield f"{name}/config{c}", "config_parsed", fmt(floats)
+
+
 def write_records(out, small: bool) -> int:
     n = 0
+    n_configs = 6 if small else 4
     for name, network in corpus(small):
-        for key, f, value in chain(network_records(name, network), parse_records(name, network)):
+        for key, f, value in chain(
+            network_records(name, network),
+            parse_records(name, network),
+            config_records(name, network, n_configs),
+        ):
             out.write(f"{key} {f} {value}\n")
             n += 1
     return n
