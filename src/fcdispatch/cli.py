@@ -1,11 +1,13 @@
 """Command-line front end: plan, solve, sweep, validate.
 
-Exit codes: 0 success; 2 bad argument (a NaN or infinite --power/--from/--to,
---points below 2, --to below --from and a --to minus --from beyond the float
-range included), config error (unreadable, not UTF-8, malformed or invalid,
-a branch whose powers or marginal levels lie beyond the float range, or one
-whose phi-weighted b underflows to zero) or unwritable --output, with stdout
-empty;
+Exit codes: 0 success; 1 a feasible demand that the solve cannot meet
+within the 1e-9 relative power balance (SegmentSolveError; "solve failed:"
+and its message on stderr, stdout empty); 2 bad argument (a NaN or infinite
+--power/--from/--to, --points below 2, --to below --from and a --to minus
+--from beyond the float range included), config error (unreadable, not
+UTF-8, malformed or invalid, a branch whose powers or marginal levels lie
+beyond the float range, or one whose phi-weighted b underflows to zero) or
+unwritable --output, with stdout empty;
 3 infeasible demand; 4 validation mismatch, or a lambda_bisection that
 raises (its message on stderr, stdout empty). Data goes to stdout (or
 --output); diagnostics and timings go to stderr so repeated invocations
@@ -19,7 +21,7 @@ import math
 import sys
 import time
 
-from .dispatch import DispatchStatus, build_table, dispatch, dispatch_table
+from .dispatch import DispatchStatus, SegmentSolveError, build_table, dispatch, dispatch_table
 from .netconfig import _INFEASIBLE_MESSAGE, ConfigError, parse_network, serialize_result, sweep_to_csv
 from .reference import compare, grid_bruteforce, lambda_bisection
 from .stack_model import NetworkValidationError, reduce_network
@@ -222,6 +224,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as err:  # reading the config raises ConfigError: a write failed
         print(f"cannot write output: {err}", file=sys.stderr)
         return 2
+    except SegmentSolveError as err:
+        print(f"solve failed: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

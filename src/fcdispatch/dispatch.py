@@ -27,9 +27,13 @@ loop makes them, reuse it. In an open window the interior branches are
 solved for the common marginal level mu by one safeguarded Newton-bisection
 loop inside the record's levels, run first on its cubic and then, from its
 root, on the direct per-branch sum until the residual is within the
-rounding error of the power sum. Every result is assembled from one record,
-looping in Python only over its interior; a mu on an open window's end
-takes the zero-width record at mu. The
+rounding error of the power sum. That sum takes each interior branch's
+current and power with one expression, inverse_marginal's and power's at
+mu, and writes both into the result as it adds the power: the residual and
+the result share it, and the pass that stops the loop is the result. Any
+other result is assembled from one record, looping in Python only over its
+interior: a breakpoint's, one whose mu lands on an open window's end (it
+takes the zero-width record at mu), and one whose loop ran to its cap. The
 paper's three-candidate cubic in the reference branch's sqrt-current
 (solve_segment_sqrt, which alone calls poly_roots, and select_feasible_root)
 and a model-agnostic bisection on the level (solve_segment_numeric) remain
@@ -127,9 +131,11 @@ class _Columns(NamedTuple):
     # Per-branch values, in branch order, that build_table computes once and
     # the online path reads in place of EquivalentStack methods. i_lb and
     # i_ub are the bound currents (i_ub_eff), p_lb and p_ub the power at
-    # them. line is an interior branch's (u, v, a, b), sqrt(I) = u*mu + v; None
-    # for a branch whose two bound levels are one float, which no window
-    # between consecutive levels has interior.
+    # them. line is what the level solve reads of an interior branch,
+    # (j, u, a, 1.5*b, b): its index, the slope u = 1/(1.5*b) of its
+    # sqrt-current in the level, and inverse_marginal's and power's
+    # coefficients. None for a branch whose two bound levels are one float,
+    # which no window between consecutive levels has interior.
     i_lb: list[float]
     i_ub: list[float]
     p_lb: list[float]
@@ -252,8 +258,8 @@ def _assemble(cols: _Columns, mu: float, window: _Window) -> tuple[list[float], 
     currents, powers = window.fixed[0].copy(), window.fixed[1].copy()
     line = cols.line
     for j in window.interior:
-        _, _, a, b = line[j]
-        x = (mu - a) / (1.5 * b)
+        _, _, a, b15, b = line[j]
+        x = (mu - a) / b15
         i = x * x
         currents[j] = i
         powers[j] = a * i + b * i * math.sqrt(i)
@@ -446,13 +452,14 @@ def build_table(stacks: Sequence[EquivalentStack]) -> DispatchTable:
                 pinned += p_ub[j]
                 h0 += p_ub[j]
             else:
-                # Its line x = sqrt(I) = u*mu + v, kept as (u, v, a, b) for
-                # _solve_level, and the terms of its power P = (a + b*x)*x*x
-                # as a cubic in the level mu.
+                # Its line, kept as (j, u, a, 1.5*b, b) for _solve_level,
+                # and the terms of its power P = (a + b*x)*x*x, with
+                # x = sqrt(I) = u*mu + v, as a cubic in the level mu.
                 a, b = stacks[j].a_eq, stacks[j].b_eq
-                u = 1.0 / (1.5 * b)
+                b15 = 1.5 * b
+                u = 1.0 / b15
                 v = -a * u
-                line[j] = u, v, a, b
+                line[j] = j, u, a, b15, b
                 try:
                     t3 = b * u**3
                 except OverflowError:
@@ -692,28 +699,37 @@ def solve_segment_numeric(
     return currents
 
 
-def _solve_level(window: _Window, p_req_eff: float) -> tuple[float, int]:
+def _solve_level(window: _Window, p_req_eff: float) -> tuple[float, int, tuple | None]:
     # Common marginal level of the window's interior branches, inside its
-    # levels [mu_low, mu_high], and the number of direct passes it took.
-    # With x_j = u_j*mu + v_j (window.lines) the interior power is a cubic
-    # in mu, window.cubic, which build_table's sweep summed. The window
+    # levels [mu_low, mu_high], the number of direct passes it took, and
+    # every branch's current and power at that level in branch order, or
+    # None when the passes ran to _MAX_ITER (mu moved after the last one).
+    # With x_j = sqrt(I_j) = u_j*mu + v_j the interior power is a cubic in
+    # mu, window.cubic, which build_table's sweep summed. The window
     # brackets its one root there, so Newton steps on the cubic's Horner
-    # form find it, and seed the same steps on the unexpanded per-branch
-    # sum, whose slope is 2*mu*sum(u_j*x_j). Power falls as mu rises, so
-    # every residual sign narrows the bracket, and a step that would leave
-    # it (or a zero slope) bisects instead. The direct stage stops once its
-    # residual f says nothing more about mu. Every term is positive below
-    # the power peak, so f + p_req_eff is their sum, and floor times it
-    # bounds the sum's rounding error: n additions plus the 6 roundings of
-    # each term (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
-    # ed., ch. 4). The residual must also be within floor of slope*mu, so
-    # that the Newton step it implies is within floor of mu: near a power
-    # peak the power is flat in mu, and a residual at the floor can still
-    # leave mu far off.
+    # form find it, and seed the same steps on the per-branch sum, whose
+    # slope is 2*mu*sum(u_j*x_j). A direct pass evaluates each interior
+    # branch (window.lines) with the expressions of the result, which are
+    # inverse_marginal's and power's: x = (mu - a)/(1.5*b), I = x*x and
+    # P = a*I + b*I*sqrt(I). It writes I and P into copies of the pinned
+    # columns as it sums P, so the pass that stops the loop has assembled
+    # the result. Power falls as mu rises, so every residual sign narrows
+    # the bracket, and a step that would leave it (or a zero slope) bisects
+    # instead. The direct stage stops once its residual f says nothing more
+    # about mu. Every term is positive below the power peak, so
+    # f + p_req_eff is their sum, and floor times it estimates the sum's
+    # rounding error: n additions plus 6 for the roundings of each term
+    # (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    # ch. 4). The residual must also be within floor of slope*mu, so that
+    # the Newton step it implies is within floor of mu: near a power peak
+    # the power is flat in mu, and a residual at the floor can still leave
+    # mu far off.
     lo, hi, lines = window.mu_low, window.mu_high, window.lines
     c3, c2, c1, c0 = window.cubic
     c0 -= p_req_eff
     floor = _EPS * (len(lines) + 6)
+    currents, powers = window.fixed[0].copy(), window.fixed[1].copy()
+    sqrt = math.sqrt
 
     # Each stage starts from the whole window: rounding can give the cubic
     # one sign over it, and the seed then bisects to a window end.
@@ -723,9 +739,13 @@ def _solve_level(window: _Window, p_req_eff: float) -> tuple[float, int]:
         for passes in range(1, _MAX_ITER + 1):
             if direct:
                 f, df = -p_req_eff, 0.0
-                for u, v, a, b in lines:
-                    x = u * mu + v
-                    f += (a + b * x) * x * x
+                for j, u, a, b15, b in lines:
+                    x = (mu - a) / b15
+                    i = x * x
+                    p = a * i + b * i * sqrt(i)
+                    currents[j] = i
+                    powers[j] = p
+                    f += p
                     df += u * x
                 df *= 2.0 * mu
                 if abs(f) <= floor * min(f + p_req_eff, abs(df * mu)):
@@ -745,7 +765,10 @@ def _solve_level(window: _Window, p_req_eff: float) -> tuple[float, int]:
                 if nxt == left or nxt == right:
                     break
             mu = nxt
-    return mu, passes
+        else:
+            if direct:
+                return mu, passes, None
+    return mu, passes, (currents, powers)
 
 
 def dispatch_table(table: DispatchTable, p_req: float) -> DispatchResult:
@@ -759,19 +782,20 @@ def dispatch_table(table: DispatchTable, p_req: float) -> DispatchResult:
 
     # A breakpoint's zero-width window needs no solve: its level is exact.
     cols = table._columns
-    mu = window.mu_low
+    mu, solved = window.mu_low, None
     if mu < window.mu_high:
         # Power is a function of the level, so some branch changes across
         # an open window. It is interior unless its two bound levels round
         # to one float; the solve then only bisects towards a window end.
-        mu = _solve_level(window, sets.p_req_eff)[0]
+        # Strictly inside, no bound level lies in the window, so the
+        # branches split at mu as over the window, and the solve's last
+        # pass is the result.
+        mu, _, solved = _solve_level(window, sets.p_req_eff)
         if not window.mu_low < mu < window.mu_high:
             # At a window end, a branch whose bound level is that end sits
             # at the bound, so the result takes the zero-width record at mu.
-            # Strictly inside, no bound level lies in the window, so the
-            # branches split at mu as over the window.
-            window = _split(cols, mu, mu, [])
-    currents, powers = _assemble(cols, mu, window)
+            window, solved = _split(cols, mu, mu, []), None
+    currents, powers = solved or _assemble(cols, mu, window)
     total_power = sum(powers)
     if abs(total_power - p_req) > _POWER_RTOL * max(1.0, abs(p_req)):
         raise SegmentSolveError(

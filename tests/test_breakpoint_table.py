@@ -38,7 +38,7 @@ from fcdispatch import (
     reduce_network,
     verify_kkt,
 )
-from fcdispatch.dispatch import _EDGE_RTOL, _POWER_RTOL, _locate, _solve_level
+from fcdispatch.dispatch import _EDGE_RTOL, _MAX_ITER, _POWER_RTOL, _locate, _solve_level
 
 from conftest import OPEN_WINDOW_NETWORK, direct_power, make_random_network, make_wide_network
 
@@ -297,6 +297,11 @@ def test_online_solve_calls_no_model_method_on_a_pinned_branch(monkeypatch):
 
 @pytest.mark.parametrize("name", COLUMN_NETWORKS)
 def test_dispatch_table_result_is_the_model_at_its_level(name, request):
+    # Strictly inside an open window the level solve's last direct pass is
+    # the result; elsewhere a record is assembled. Both are the model. The
+    # open window of OPEN_WINDOW_NETWORK has no interior branch, so its
+    # solves land on a window end.
+    inside = 0
     for network in sample_networks(name, request):
         stacks = reduce_network(network)
         table = build_table(stacks)
@@ -304,6 +309,29 @@ def test_dispatch_table_result_is_the_model_at_its_level(name, request):
             result = dispatch_table(table, direct_power(table, mu))
             assert result.currents == tuple(s.inverse_marginal(result.mu) for s in stacks)
             assert result.total_power == direct_power(table, result.mu)
+            inside += result.sets.mu_low < result.mu < result.sets.mu_high
+    assert (inside > 0) == (name != "open_window")
+
+
+@pytest.mark.parametrize("n, capped", [(7, False), (27, True)])
+def test_level_zero_window_result_is_the_model_at_its_level(n, capped):
+    # The last open window of these networks ends at level 0, a branch's
+    # power peak. At its midpoint demand the residual is rounding noise and
+    # floor*|slope*mu| falls with mu, so the passes halve mu towards 0: 55
+    # passes at n=7, and at n=27 all _MAX_ITER of them, after the last of
+    # which mu moves again. That result is assembled at the returned mu.
+    table = build_table(reduce_network(make_random_network(np.random.default_rng(3), n)))
+    levels = [pt.mu for pt in table.points]
+    k = max(k for k in range(len(levels) - 1) if levels[k] > levels[k + 1])
+    p = direct_power(table, 0.5 * (levels[k] + levels[k + 1]))
+    sets, window = _locate(table, p)
+    mu, passes, solved = _solve_level(window, sets.p_req_eff)
+    assert sets.mu_low == 0.0 < mu < sets.mu_high
+    assert (passes == _MAX_ITER, solved is None) == (capped, capped)
+    result = dispatch_table(table, p)
+    assert result.mu == mu
+    assert result.currents == tuple(s.inverse_marginal(mu) for s in table.stacks)
+    assert result.total_power == direct_power(table, mu)
 
 
 @pytest.mark.parametrize("end", ["mu_low", "mu_high"])
@@ -315,7 +343,7 @@ def test_dispatch_table_result_at_a_window_end_is_the_model_at_its_level(
     # off a breakpoint's direct power, on the side whose window ends there;
     # the end is kept where its power meets the demand.
     def at_end(window, p_req_eff):
-        return getattr(window, end), 0
+        return getattr(window, end), 0, None
 
     # The package exports a function named dispatch, which shadows the module.
     monkeypatch.setattr(importlib.import_module("fcdispatch.dispatch"), "_solve_level", at_end)
@@ -362,11 +390,12 @@ def test_level_solve_stops_at_its_rounding_floor(name, request):
             if not sets.mu_low < sets.mu_high:
                 continue
             interior = sorted(sets.interior)
-            mu, n = _solve_level(window, sets.p_req_eff)
+            mu, n, _ = _solve_level(window, sets.p_req_eff)
             power = slope = 0.0
-            for u, v, a, b in (cols.line[j] for j in interior):
-                x = u * mu + v
-                power += (a + b * x) * x * x
+            for _, u, a, b15, b in (cols.line[j] for j in interior):
+                x = (mu - a) / b15
+                i = x * x
+                power += a * i + b * i * math.sqrt(i)
                 slope += u * x
             if name == "random1000" or power <= abs(2.0 * mu * mu * slope):
                 passes.append(n)
@@ -395,9 +424,10 @@ def test_window_cubic_from_the_sweep_matches_the_direct_interior_sum(name, reque
             c3, c2, c1, c0 = window.cubic
             for mu in (low, 0.5 * (high + low), high):
                 interior = 0.0
-                for u, v, a, b in window.lines:
-                    x = u * mu + v
-                    interior += (a + b * x) * x * x
+                for _, u, a, b15, b in window.lines:
+                    x = (mu - a) / b15
+                    i = x * x
+                    interior += a * i + b * i * math.sqrt(i)
                 cubic = ((c3 * mu + c2) * mu + c1) * mu + c0
                 assert abs(cubic - interior) <= _EDGE_RTOL * max(1.0, window.pinned + interior)
                 checks += 1
@@ -459,7 +489,7 @@ def test_level_solve_seed_stays_in_the_window_when_the_cubic_has_one_sign():
         c0 -= sets.p_req_eff
         assert ((c3 * lo + c2) * lo + c1) * lo + c0 < 0.0
         assert ((c3 * hi + c2) * hi + c1) * hi + c0 < 0.0
-        mu, _ = _solve_level(window, sets.p_req_eff)
+        mu, _, _ = _solve_level(window, sets.p_req_eff)
         assert lo <= mu <= hi
         result = dispatch_table(table, p)
         assert result.status is DispatchStatus.OPTIMAL

@@ -467,3 +467,20 @@ def test_branch_whose_b_underflows_exits_2(capsys, tmp_path, argv):
     assert code == 2
     assert out == ""
     assert err == "config error: branches[0]: sum of phi*b underflows to 0.0\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("solve", "--power", "0.5"), ("sweep", "--from", "0.5", "--to", "0.6", "--points", "2")],
+)
+def test_a_solve_that_misses_the_power_balance_exits_1(capsys, tmp_path, argv):
+    # One branch with a tiny |b| (tests/test_dispatch.py's TINY_B): the
+    # level of a 0.5 W demand rounds to 1.0, where the branch gives 0 W and
+    # one float below it 5.5e167 W, so the solve raises SegmentSolveError.
+    path = tmp_path / "tiny_b.json"
+    path.write_text(config_text([(1.0, -1e-100, 0.0, "inf")]))
+    code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("solve failed: power balance violated")
+    assert len(err.splitlines()) == 1

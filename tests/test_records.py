@@ -46,4 +46,10 @@ def test_records_of_the_small_corpus_diff_to_zero_and_count_a_change(tmp_path):
     diff = run_tool("--diff", a, b)
     assert diff.returncode == 1
     assert diff.stdout.splitlines()[0] == f"2 of {len(lines)} records differ"
-    assert "  total_current: 1" in diff.stdout
+    # The appended digit moves the float's binary exponent; the worst
+    # relative change is taken against A's value. A record on one side only
+    # is counted with no change.
+    old, new = (float.fromhex(line.split(" ", 2)[2]) for line in (lines[k], changed[k]))
+    change = abs(old - new) / max(1.0, abs(old))
+    assert f"  total_current: 1  worst relative change {change:.3g}\n" in diff.stdout
+    assert f"  {lines[-1].split(' ', 2)[1]}: 1\n" in diff.stdout

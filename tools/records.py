@@ -19,7 +19,9 @@ floats it parsed. A raise is recorded as the exception's type and message.
 --src puts another checkout's source directory first on the import path,
 so the records of a parent commit come from its own code; the corpus
 generators are those of tests/conftest.py next to this file. --diff counts
-the records that differ, or exist on one side only, per field.
+the records that differ, or exist on one side only, per field, and for a
+field whose differing records hold floats on both sides, element for
+element, the worst relative change |a - b| / max(1, |a|), a from A.
 
 The corpus: bench3, bench30, make_random_network(default_rng(s), n) for
 s = 0..2 and n = 2..60, 300 make_wide_network(random.Random(11)) networks
@@ -34,6 +36,7 @@ import argparse
 import json
 import math
 import random
+import re
 import sys
 from collections import Counter
 from itertools import chain
@@ -263,12 +266,44 @@ def read_records(path: str) -> dict:
         return {tuple(line.split(" ", 2)[:2]): line for line in fh}
 
 
-def diff(a_path: str, b_path: str) -> tuple[Counter, int]:
-    """Per field, the records that differ or exist on one side only, and
-    the number of records on either side."""
+FLOAT = re.compile(r"-?(0x[0-9a-f]+(\.[0-9a-f]*)?p[+-]\d+|inf)|nan")
+
+
+def floats(line: str | None) -> list[float] | None:
+    """The floats of a record line's value, or None where it holds anything
+    else (an int, a status, a message, None) or the record is missing."""
+    if line is None:
+        return None
+    tokens = [t for t in re.split(r"[(){},]", line.split(" ", 2)[2].strip()) if t]
+    if not tokens or not all(map(FLOAT.fullmatch, tokens)):
+        return None
+    return [float.fromhex(t) for t in tokens]
+
+
+def relative_change(x: float, y: float) -> float:
+    """|x - y| / max(1, |x|); 0 for two NaNs, inf where it is NaN."""
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    d = abs(x - y) / max(1.0, abs(x))
+    return math.inf if math.isnan(d) else d
+
+
+def diff(a_path: str, b_path: str) -> tuple[Counter, dict, int]:
+    """Per field, the records that differ or exist on one side only, the
+    worst relative change of those that hold as many floats on both sides,
+    and the number of records on either side."""
     a, b = read_records(a_path), read_records(b_path)
     keys = a.keys() | b.keys()
-    return Counter(rec[1] for rec in keys if a.get(rec) != b.get(rec)), len(keys)
+    counts, worst = Counter(), {}
+    for rec in keys:
+        if a.get(rec) == b.get(rec):
+            continue
+        counts[rec[1]] += 1
+        xs, ys = floats(a.get(rec)), floats(b.get(rec))
+        if xs is not None and ys is not None and len(xs) == len(ys):
+            change = max(map(relative_change, xs, ys))
+            worst[rec[1]] = max(worst.get(rec[1], 0.0), change)
+    return counts, worst, len(keys)
 
 
 def main(argv=None) -> int:
@@ -279,10 +314,11 @@ def main(argv=None) -> int:
     ap.add_argument("--diff", nargs=2, metavar=("A", "B"), help="compare two record files")
     args = ap.parse_args(argv)
     if args.diff:
-        counts, total = diff(*args.diff)
+        counts, worst, total = diff(*args.diff)
         print(f"{sum(counts.values())} of {total} records differ")
         for f, c in sorted(counts.items()):
-            print(f"  {f}: {c}")
+            change = f"  worst relative change {worst[f]:.3g}" if f in worst else ""
+            print(f"  {f}: {c}{change}")
         return 1 if counts else 0
     if args.out is None:
         ap.error("give OUT or --diff A B")
