@@ -21,8 +21,10 @@ import math
 import sys
 import time
 
-from .dispatch import DispatchStatus, SegmentSolveError, build_table, dispatch, dispatch_table
-from .netconfig import _INFEASIBLE_MESSAGE, ConfigError, parse_network, serialize_result, sweep_to_csv
+from .dispatch import (
+    _INFEASIBLE_MESSAGE, DispatchStatus, SegmentSolveError, build_table, dispatch, dispatch_table
+)
+from .netconfig import ConfigError, parse_network, serialize_result, sweep_to_csv
 from .reference import compare, grid_bruteforce, lambda_bisection
 from .stack_model import NetworkValidationError, reduce_network
 

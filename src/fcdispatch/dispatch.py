@@ -19,8 +19,9 @@ consecutive breakpoints by bisecting those powers and confirming the few
 within _EDGE_RTOL of it by their direct sums; a demand equal to a
 breakpoint's direct power gets the zero-width window at that point's level.
 _split alone builds a window's one record (_Window): its active sets, found
-by bisecting the level-ordered indices, the pinned currents and power, and
-for an open window the interior's lines and the sweep's cubic. None of it
+by bisecting the level-ordered indices, the pinned currents and power, for
+an open window the interior's lines and the sweep's cubic, and for a
+zero-width window every branch's current and power at its level. None of it
 depends on the demand, so the table keeps the last window's record, and
 consecutive demands in one window, as a sweep or a slowly moving control
 loop makes them, reuse it. In an open window the interior branches are
@@ -30,14 +31,12 @@ root, on the direct per-branch sum until the residual is within the
 rounding error of the power sum. That sum takes each interior branch's
 current and power with one expression, inverse_marginal's and power's at
 mu, and writes both into the result as it adds the power: the residual and
-the result share it, and the pass that stops the loop is the result. Any
-other result is assembled from one record, looping in Python only over its
-interior: a breakpoint's, one whose mu lands on an open window's end (it
-takes the zero-width record at mu), and one whose loop ran to its cap. The
-paper's three-candidate cubic in the reference branch's sqrt-current
-(solve_segment_sqrt, which alone calls poly_roots, and select_feasible_root)
-and a model-agnostic bisection on the level (solve_segment_numeric) remain
-as public cross-checks.
+the result share it, and the pass that stops the loop is the result. Every
+other result is a zero-width record: a breakpoint's, or for a mu on an open
+window's end the one _split builds at mu. The paper's three-candidate cubic
+in the reference branch's sqrt-current (solve_segment_sqrt, which alone
+calls poly_roots, and select_feasible_root) and a model-agnostic bisection
+on the level (solve_segment_numeric) remain as public cross-checks.
 
 At the optimum every interior branch runs at the same dP/dI (the marginal
 level mu); branches at their lower bound have a steeper affordable marginal
@@ -78,6 +77,8 @@ _X_FEAS_RTOL = 1e-6
 _EPS = sys.float_info.epsilon
 # Iteration cap for the level searches.
 _MAX_ITER = 200
+# The exception, the JSON result and the CLI all say this of an infeasible demand.
+_INFEASIBLE_MESSAGE = "Required power cannot be obtained"
 
 
 class PointKind(enum.Enum):
@@ -102,10 +103,7 @@ class InfeasibleDemandError(ValueError):
         self.status = status
         self.p_req = p_req
         self.feasible_range = (p_min, p_max)
-        super().__init__(
-            f"Required power cannot be obtained: p_req={p_req} W outside "
-            f"[{p_min}, {p_max}] W"
-        )
+        super().__init__(f"{_INFEASIBLE_MESSAGE}: p_req={p_req} W outside [{p_min}, {p_max}] W")
 
 
 class SegmentSolveError(RuntimeError):
@@ -160,12 +158,12 @@ class _Columns(NamedTuple):
 
 
 class _Window(NamedTuple):
-    # A level window's one record, built by _split for location, the level
-    # solve and _assemble alike: the levels, the split, the pinned currents
-    # and powers (0.0 for an interior branch) and their sum in branch order,
-    # and for an open window's level solve the interior's lines in ascending
+    # A level window's one record, built by _split and never written to:
+    # the levels, the split, every branch's current and power in branch
+    # order (in an open window 0.0 as an interior branch's power, at a
+    # zero-width window's level the result) and the pinned ones' sum, and
+    # for an open window's level solve the interior's lines in ascending
     # order and its cubic (c3, c2, c1, c0) in mu from build_table's sweep.
-    # Both are empty for a zero-width window.
     mu_high: float
     mu_low: float
     at_lb: frozenset[int]
@@ -185,9 +183,10 @@ class DispatchTable:
     build_table from its sweep. They derive from stacks alone, so they are
     left out of equality and repr. The online path reads them in place of
     the branches' methods; EquivalentStack.inverse_marginal and power stay
-    the model's definitions, which the columns reproduce bit for bit. Every
-    result is assembled from one window record (_Window, built by _split):
-    a breakpoint's from the zero-width record at its level.
+    the model's definitions, which the columns reproduce bit for bit. A
+    result is the level solve's last pass strictly inside an open window,
+    and otherwise a zero-width window record (_Window, built by _split):
+    a breakpoint's, or the one at a level on an open window's end.
 
     Solving fills two private states, also left out of equality and repr:
     a cache of the direct power at each breakpoint level, and the record of
@@ -232,7 +231,9 @@ def _split(cols: _Columns, mu_high: float, mu_low: float, cubic: list[float]) ->
     # lower bound (lb_level <= mu_low) are a slice of the level order, those
     # of the rest at their upper bound (ub_level >= mu_high) an intersection
     # with another. The pinned columns, with 0.0 as an interior branch's
-    # power, add up in branch order to the pinned power.
+    # power, add up in branch order to the pinned power. A zero-width window
+    # then fills its interior with inverse_marginal's and power's expressions,
+    # float op for float op, so its columns are the result at its level.
     k = bisect_left(cols.lb_key, -mu_low)
     above = frozenset(cols.lb_order[:k])
     at_ub = above.intersection(cols.ub_order[: bisect_right(cols.ub_key, -mu_high)])
@@ -244,31 +245,25 @@ def _split(cols: _Columns, mu_high: float, mu_low: float, cubic: list[float]) ->
         powers[j] = p_lb[j]
     for j in interior:
         powers[j] = 0.0
-    lines = [line[j] for j in sorted(interior)] if mu_low < mu_high else []
+    pinned, lines = sum(powers), []
+    if mu_low < mu_high:
+        lines = [line[j] for j in sorted(interior)]
+    else:
+        for j in interior:
+            _, _, a, b15, b = line[j]
+            x = (mu_low - a) / b15
+            i = x * x
+            currents[j] = i
+            powers[j] = a * i + b * i * math.sqrt(i)
     # tuple.__new__ skips the NamedTuple's generated __new__, whose Python
     # frame would double the cost of every miss's record.
-    fields = mu_high, mu_low, at_lb, interior, at_ub, (currents, powers), sum(powers), lines, cubic
+    fields = mu_high, mu_low, at_lb, interior, at_ub, (currents, powers), pinned, lines, cubic
     return tuple.__new__(_Window, fields)
-
-
-def _assemble(cols: _Columns, mu: float, window: _Window) -> tuple[list[float], list[float]]:
-    # Every branch's current and power at a level mu in the window, in
-    # branch order: the pinned ones, and inverse_marginal's and power's
-    # expressions, float op for float op, over the interior.
-    currents, powers = window.fixed[0].copy(), window.fixed[1].copy()
-    line = cols.line
-    for j in window.interior:
-        _, _, a, b15, b = line[j]
-        x = (mu - a) / b15
-        i = x * x
-        currents[j] = i
-        powers[j] = a * i + b * i * math.sqrt(i)
-    return currents, powers
 
 
 def _at_level(cols: _Columns, mu: float) -> tuple[list[float], list[float]]:
     # Every branch's current at level mu and its power, in branch order.
-    return _assemble(cols, mu, _split(cols, mu, mu, []))
+    return _split(cols, mu, mu, []).fixed
 
 
 @dataclass(frozen=True)
@@ -699,11 +694,10 @@ def solve_segment_numeric(
     return currents
 
 
-def _solve_level(window: _Window, p_req_eff: float) -> tuple[float, int, tuple | None]:
+def _solve_level(window: _Window, p_req_eff: float) -> tuple[float, int, tuple]:
     # Common marginal level of the window's interior branches, inside its
     # levels [mu_low, mu_high], the number of direct passes it took, and
-    # every branch's current and power at that level in branch order, or
-    # None when the passes ran to _MAX_ITER (mu moved after the last one).
+    # every branch's current and power at that level in branch order.
     # With x_j = sqrt(I_j) = u_j*mu + v_j the interior power is a cubic in
     # mu, window.cubic, which build_table's sweep summed. The window
     # brackets its one root there, so Newton steps on the cubic's Horner
@@ -713,9 +707,10 @@ def _solve_level(window: _Window, p_req_eff: float) -> tuple[float, int, tuple |
     # inverse_marginal's and power's: x = (mu - a)/(1.5*b), I = x*x and
     # P = a*I + b*I*sqrt(I). It writes I and P into copies of the pinned
     # columns as it sums P, so the pass that stops the loop has assembled
-    # the result. Power falls as mu rises, so every residual sign narrows
-    # the bracket, and a step that would leave it (or a zero slope) bisects
-    # instead. The direct stage stops once its residual f says nothing more
+    # the result; after _MAX_ITER passes one more, at the mu the last one
+    # moved to, stops the loop. Power falls as mu rises, so every residual
+    # sign narrows the bracket, and a step that would leave it (or a zero
+    # slope) bisects instead. The direct stage stops once its residual f says nothing more
     # about mu. Every term is positive below the power peak, so
     # f + p_req_eff is their sum, and floor times it estimates the sum's
     # rounding error: n additions plus 6 for the roundings of each term
@@ -736,7 +731,7 @@ def _solve_level(window: _Window, p_req_eff: float) -> tuple[float, int, tuple |
     mu = 0.5 * (lo + hi)
     for direct in (False, True):
         left, right = lo, hi
-        for passes in range(1, _MAX_ITER + 1):
+        for passes in range(1, _MAX_ITER + 1 + direct):
             if direct:
                 f, df = -p_req_eff, 0.0
                 for j, u, a, b15, b in lines:
@@ -748,7 +743,7 @@ def _solve_level(window: _Window, p_req_eff: float) -> tuple[float, int, tuple |
                     f += p
                     df += u * x
                 df *= 2.0 * mu
-                if abs(f) <= floor * min(f + p_req_eff, abs(df * mu)):
+                if passes > _MAX_ITER or abs(f) <= floor * min(f + p_req_eff, abs(df * mu)):
                     break
             else:
                 f = ((c3 * mu + c2) * mu + c1) * mu + c0
@@ -765,9 +760,6 @@ def _solve_level(window: _Window, p_req_eff: float) -> tuple[float, int, tuple |
                 if nxt == left or nxt == right:
                     break
             mu = nxt
-        else:
-            if direct:
-                return mu, passes, None
     return mu, passes, (currents, powers)
 
 
@@ -780,9 +772,8 @@ def dispatch_table(table: DispatchTable, p_req: float) -> DispatchResult:
             status=err.status, p_req=p_req, feasible_range=err.feasible_range
         )
 
-    # A breakpoint's zero-width window needs no solve: its level is exact.
-    cols = table._columns
-    mu, solved = window.mu_low, None
+    # A breakpoint's zero-width record is its result: its level is exact.
+    mu, (currents, powers) = window.mu_low, window.fixed
     if mu < window.mu_high:
         # Power is a function of the level, so some branch changes across
         # an open window. It is interior unless its two bound levels round
@@ -790,12 +781,11 @@ def dispatch_table(table: DispatchTable, p_req: float) -> DispatchResult:
         # Strictly inside, no bound level lies in the window, so the
         # branches split at mu as over the window, and the solve's last
         # pass is the result.
-        mu, _, solved = _solve_level(window, sets.p_req_eff)
+        mu, _, (currents, powers) = _solve_level(window, sets.p_req_eff)
         if not window.mu_low < mu < window.mu_high:
             # At a window end, a branch whose bound level is that end sits
-            # at the bound, so the result takes the zero-width record at mu.
-            window, solved = _split(cols, mu, mu, []), None
-    currents, powers = solved or _assemble(cols, mu, window)
+            # at the bound, so the result is the zero-width record at mu.
+            currents, powers = _at_level(table._columns, mu)
     total_power = sum(powers)
     if abs(total_power - p_req) > _POWER_RTOL * max(1.0, abs(p_req)):
         raise SegmentSolveError(

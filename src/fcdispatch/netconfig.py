@@ -15,10 +15,8 @@ import json
 import math
 from typing import Any, Sequence
 
-from .dispatch import DispatchResult, DispatchStatus
+from .dispatch import _INFEASIBLE_MESSAGE, DispatchResult, DispatchStatus
 from .stack_model import BranchSpec, Network, SqrtStackParams, reduce_network
-
-_INFEASIBLE_MESSAGE = "Required power cannot be obtained"
 
 
 class ConfigError(ValueError):

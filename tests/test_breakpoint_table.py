@@ -298,7 +298,7 @@ def test_online_solve_calls_no_model_method_on_a_pinned_branch(monkeypatch):
 @pytest.mark.parametrize("name", COLUMN_NETWORKS)
 def test_dispatch_table_result_is_the_model_at_its_level(name, request):
     # Strictly inside an open window the level solve's last direct pass is
-    # the result; elsewhere a record is assembled. Both are the model. The
+    # the result; elsewhere a zero-width record is. Both are the model. The
     # open window of OPEN_WINDOW_NETWORK has no interior branch, so its
     # solves land on a window end.
     inside = 0
@@ -319,15 +319,17 @@ def test_level_zero_window_result_is_the_model_at_its_level(n, capped):
     # power peak. At its midpoint demand the residual is rounding noise and
     # floor*|slope*mu| falls with mu, so the passes halve mu towards 0: 55
     # passes at n=7, and at n=27 all _MAX_ITER of them, after the last of
-    # which mu moves again. That result is assembled at the returned mu.
+    # which mu moves again; one more pass at the returned mu is the result.
     table = build_table(reduce_network(make_random_network(np.random.default_rng(3), n)))
     levels = [pt.mu for pt in table.points]
     k = max(k for k in range(len(levels) - 1) if levels[k] > levels[k + 1])
     p = direct_power(table, 0.5 * (levels[k] + levels[k + 1]))
     sets, window = _locate(table, p)
-    mu, passes, solved = _solve_level(window, sets.p_req_eff)
+    mu, passes, (currents, powers) = _solve_level(window, sets.p_req_eff)
     assert sets.mu_low == 0.0 < mu < sets.mu_high
-    assert (passes == _MAX_ITER, solved is None) == (capped, capped)
+    assert (passes == _MAX_ITER + 1) == capped
+    assert currents == [s.inverse_marginal(mu) for s in table.stacks]
+    assert sum(powers) == direct_power(table, mu)
     result = dispatch_table(table, p)
     assert result.mu == mu
     assert result.currents == tuple(s.inverse_marginal(mu) for s in table.stacks)
@@ -339,11 +341,13 @@ def test_level_zero_window_result_is_the_model_at_its_level(n, capped):
 def test_dispatch_table_result_at_a_window_end_is_the_model_at_its_level(
     name, end, request, monkeypatch
 ):
-    # A level solve that lands on a window end. The demands are one float
-    # off a breakpoint's direct power, on the side whose window ends there;
-    # the end is kept where its power meets the demand.
+    # A level solve that lands on a window end, and returns the window's
+    # pinned columns, which are not the result there (an interior branch's
+    # power is 0.0). The demands are one float off a breakpoint's direct
+    # power, on the side whose window ends there; the end is kept where its
+    # power meets the demand.
     def at_end(window, p_req_eff):
-        return getattr(window, end), 0, None
+        return getattr(window, end), 0, window.fixed
 
     # The package exports a function named dispatch, which shadows the module.
     monkeypatch.setattr(importlib.import_module("fcdispatch.dispatch"), "_solve_level", at_end)
@@ -552,7 +556,10 @@ def test_a_sweep_splits_once_per_window_and_solves_as_fresh_tables_do(
     # split once per window the sweep enters (and once more where a level
     # lands on an open window's end), and every result is the one a fresh
     # table gives for that demand alone. An infeasible demand in the middle
-    # locates no window and leaves the kept one as it was.
+    # locates no window and leaves the kept one as it was. Then breakpoint
+    # demands, repeated and alternating: a zero-width record is its
+    # breakpoint's result, so a repeat splits nothing, each alternation
+    # splits once, and the results leave the kept record's lists unchanged.
     if name == "random60":
         network = make_random_network(np.random.default_rng(7), 60)
     else:
@@ -564,6 +571,9 @@ def test_a_sweep_splits_once_per_window_and_solves_as_fresh_tables_do(
     infeasible = [table.p_min - 1.0, table.p_max + 1.0, math.nan]
     demands[middle:middle] = infeasible
     expected = [dispatch_table(build_table(stacks), p) for p in demands]
+    first, second = (direct_power(table, table.points[k * len(stacks) // 2].mu) for k in (1, 2))
+    breakpoints = [first, first, first, second, first, second, second, first]
+    fresh = [dispatch_table(build_table(stacks), p) for p in breakpoints]
     for pt in table.points:
         table._direct_power(pt.mu)  # fill the breakpoint cache before counting
 
@@ -592,6 +602,19 @@ def test_a_sweep_splits_once_per_window_and_solves_as_fresh_tables_do(
         at_end += sets.mu_low < sets.mu_high and not sets.mu_low < result.mu < sets.mu_high
     assert len(calls) == len(windows) + at_end
     assert len(demands) >= 3 * len(windows)
+
+    calls.clear()
+    record = None
+    for p, expected_result in zip(breakpoints, fresh):
+        result = dispatch_table(table, p)
+        assert result.sets.mu_low == result.mu == result.sets.mu_high
+        assert result == expected_result
+        assert [c.hex() for c in result.currents] == [c.hex() for c in expected_result.currents]
+        if record is None:
+            record = table._window
+            kept = [c.copy() for c in record.fixed]
+    assert len(calls) == 5
+    assert list(record.fixed) == kept == list(_locate(build_table(stacks), first)[1].fixed)
 
 
 def test_a_table_shared_across_threads_solves_as_fresh_tables_do():

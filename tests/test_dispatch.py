@@ -305,14 +305,17 @@ def test_segment_cubic_rejects_a_reference_outside_the_interior(bench3_stacks):
 
 def test_dispatch_table_rejects_a_level_that_misses_the_demand(bench3_stacks, monkeypatch):
     # A level solve that returns the middle of its window, far from the
-    # root, and no currents, so the result is assembled at that level: the
-    # power balance that guards every result catches it.
-    def mid_window(window, p_req_eff):
-        return 0.5 * (window.mu_low + window.mu_high), 1, None
-
+    # root, with every branch's current and power at that level: the power
+    # balance that guards every result catches it.
     # The package exports a function named dispatch, which shadows the module.
-    monkeypatch.setattr(importlib.import_module("fcdispatch.dispatch"), "_solve_level", mid_window)
+    module = importlib.import_module("fcdispatch.dispatch")
     table = build_table(bench3_stacks)
+
+    def mid_window(window, p_req_eff):
+        mu = 0.5 * (window.mu_low + window.mu_high)
+        return mu, 1, module._at_level(table._columns, mu)
+
+    monkeypatch.setattr(module, "_solve_level", mid_window)
     levels = [pt.mu for pt in table.points]
     for high, low in zip(levels, levels[1:]):
         p = direct_power(table, low + 0.1 * (high - low))

@@ -53,3 +53,20 @@ def test_records_of_the_small_corpus_diff_to_zero_and_count_a_change(tmp_path):
     change = abs(old - new) / max(1.0, abs(old))
     assert f"  total_current: 1  worst relative change {change:.3g}\n" in diff.stdout
     assert f"  {lines[-1].split(' ', 2)[1]}: 1\n" in diff.stdout
+
+
+def test_a_records_float_changes_are_scaled_by_its_largest_value(tmp_path):
+    # A 4.7 A branch beside a 1.9e9 A one: its change is 2e-7 of itself but
+    # 5e-16 of the record's largest current, the scale of the acceptance
+    # gate's tolerance. An inf sets no scale.
+    small, moved, big, inf = 4.7, 4.7 + 1e-6, 1.9e9, float("inf")
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text(f"x currents ({big.hex()},{small.hex()})\nx mu ({inf.hex()},{small.hex()})\n")
+    b.write_text(f"x currents ({big.hex()},{moved.hex()})\nx mu ({inf.hex()},{moved.hex()})\n")
+    diff = run_tool("--diff", a, b)
+    assert diff.returncode == 1
+    assert diff.stdout.splitlines() == [
+        "2 of 2 records differ",
+        f"  currents: 1  worst relative change {(moved - small) / big:.3g}",
+        f"  mu: 1  worst relative change {(moved - small) / small:.3g}",
+    ]

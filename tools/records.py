@@ -20,8 +20,10 @@ floats it parsed. A raise is recorded as the exception's type and message.
 so the records of a parent commit come from its own code; the corpus
 generators are those of tests/conftest.py next to this file. --diff counts
 the records that differ, or exist on one side only, per field, and for a
-field whose differing records hold floats on both sides, element for
-element, the worst relative change |a - b| / max(1, |a|), a from A.
+field whose differing records hold equally many floats on both sides,
+the worst relative change |a - b| / max(1, max |a|), a from A, element for
+element, with the max over the record's finite elements: the scale of the
+acceptance gate's current tolerance and of reference.compare.
 
 The corpus: bench3, bench30, make_random_network(default_rng(s), n) for
 s = 0..2 and n = 2..60, 300 make_wide_network(random.Random(11)) networks
@@ -280,12 +282,16 @@ def floats(line: str | None) -> list[float] | None:
     return [float.fromhex(t) for t in tokens]
 
 
-def relative_change(x: float, y: float) -> float:
-    """|x - y| / max(1, |x|); 0 for two NaNs, inf where it is NaN."""
-    if x == y or (math.isnan(x) and math.isnan(y)):
-        return 0.0
-    d = abs(x - y) / max(1.0, abs(x))
-    return math.inf if math.isnan(d) else d
+def relative_change(xs: list[float], ys: list[float]) -> float:
+    """max |x - y| / max(1, max |x|), the second max over the finite xs;
+    two NaNs count 0, and a NaN against a number counts inf."""
+    scale = max([1.0, *(abs(x) for x in xs if math.isfinite(x))])
+    worst = 0.0
+    for x, y in zip(xs, ys):
+        if x != y and not (math.isnan(x) and math.isnan(y)):
+            d = abs(x - y) / scale
+            worst = max(worst, math.inf if math.isnan(d) else d)
+    return worst
 
 
 def diff(a_path: str, b_path: str) -> tuple[Counter, dict, int]:
@@ -301,8 +307,7 @@ def diff(a_path: str, b_path: str) -> tuple[Counter, dict, int]:
         counts[rec[1]] += 1
         xs, ys = floats(a.get(rec)), floats(b.get(rec))
         if xs is not None and ys is not None and len(xs) == len(ys):
-            change = max(map(relative_change, xs, ys))
-            worst[rec[1]] = max(worst.get(rec[1], 0.0), change)
+            worst[rec[1]] = max(worst.get(rec[1], 0.0), relative_change(xs, ys))
     return counts, worst, len(keys)
 
 
