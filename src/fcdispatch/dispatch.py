@@ -51,7 +51,6 @@ import math
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import NamedTuple, Sequence
 
 from .poly_roots import CubicCoefficients, real_roots
@@ -87,7 +86,6 @@ class PointKind(enum.Enum):
 
 
 _KINDS = (PointKind.LOWER_BOUND, PointKind.UPPER_BOUND)
-_STORED_POWER = attrgetter("cumulative_power")
 
 
 class DispatchStatus(enum.Enum):
@@ -155,6 +153,11 @@ class _Columns(NamedTuple):
     # p_min and p_max widened by the _EDGE_RTOL slack: the feasible demands.
     p_low: float
     p_high: float
+    # Each breakpoint's cumulative_power, in the table's order, which
+    # _locate bisects without a key function.
+    powers: list[float]
+    # (p_min, p_max): the one feasible_range of every result of the table.
+    feasible_range: tuple[float, float]
 
 
 class _Window(NamedTuple):
@@ -245,10 +248,11 @@ def _split(cols: _Columns, mu_high: float, mu_low: float, cubic: list[float]) ->
         powers[j] = p_lb[j]
     for j in interior:
         powers[j] = 0.0
-    pinned, lines = sum(powers), []
+    pinned = sum(powers)
     if mu_low < mu_high:
         lines = [line[j] for j in sorted(interior)]
     else:
+        lines = []
         for j in interior:
             _, _, a, b15, b = line[j]
             x = (mu_low - a) / b15
@@ -257,8 +261,9 @@ def _split(cols: _Columns, mu_high: float, mu_low: float, cubic: list[float]) ->
             powers[j] = a * i + b * i * math.sqrt(i)
     # tuple.__new__ skips the NamedTuple's generated __new__, whose Python
     # frame would double the cost of every miss's record.
-    fields = mu_high, mu_low, at_lb, interior, at_ub, (currents, powers), pinned, lines, cubic
-    return tuple.__new__(_Window, fields)
+    return tuple.__new__(
+        _Window, (mu_high, mu_low, at_lb, interior, at_ub, (currents, powers), pinned, lines, cubic)
+    )
 
 
 def _at_level(cols: _Columns, mu: float) -> tuple[list[float], list[float]]:
@@ -293,6 +298,24 @@ class DispatchResult:
     total_power: float | None = None
     mu: float | None = None
     sets: ActiveSets | None = None
+
+
+def _frozen(cls, *values):
+    # cls(*values) for ActiveSets or DispatchResult without the generated
+    # __init__, whose call costs about as much as the level solve: one
+    # object.__new__, then object.__setattr__ once per field in field order,
+    # as __init__ sets them, so the values stay in the instance's inline
+    # storage (CPython 3.11+) and vars() lists them in field order. The
+    # setter is bound to the instance and driven by map, so the per-field
+    # loop runs in C; it returns None, so any() runs it to the end. Never
+    # assign or update __dict__ here: that gives each result a dict of its
+    # own, one more GC-tracked object, and with two per solve the gen-0
+    # threshold falls inside a batch of solves, whose first collection then
+    # walks every fresh result, N-long tuples and all. Neither class may
+    # define __post_init__, which this skips.
+    obj = object.__new__(cls)
+    any(map(object.__setattr__.__get__(obj), cls.__dataclass_fields__, values))
+    return obj
 
 
 @dataclass(frozen=True)
@@ -391,7 +414,7 @@ def build_table(stacks: Sequence[EquivalentStack]) -> DispatchTable:
     lb_order = [k for k in order if k < n]
     ub_order = [k - n for k in order if k >= n]
     line = [None] * n
-    sums = []
+    sums, powers, points = [], [], []
     # The direct sums at the end levels. At the top every branch is at i_lb;
     # at the bottom at i_ub_eff, unless its lower-bound level is the bottom.
     lowest = levels[order[-1]]
@@ -401,6 +424,7 @@ def build_table(stacks: Sequence[EquivalentStack]) -> DispatchTable:
     columns = _Columns(
         i_lb, i_ub, p_lb, p_ub, line, lb_order, lb_key, ub_order, ub_key, sums,
         p_min - _EDGE_RTOL * max(1.0, abs(p_min)), p_max + _EDGE_RTOL * max(1.0, abs(p_max)),
+        powers, (p_min, p_max),
     )
 
     pinned = p_min
@@ -410,7 +434,6 @@ def build_table(stacks: Sequence[EquivalentStack]) -> DispatchTable:
     h3 = h2 = h1 = 0.0
     h0 = p_min
     cubic = [None] * n  # an interior branch's terms
-    powers, points = [], []
     level = None
     for k in order:
         mu, upper = levels[k], k >= n
@@ -486,7 +509,7 @@ def _beyond_float_range(j: int | None) -> NetworkValidationError:
 
 def feasible_power_range(table: DispatchTable) -> tuple[float, float]:
     """Obtainable power window: the direct sums at the end levels (build_table)."""
-    return (table.p_min, table.p_max)
+    return table._columns.feasible_range
 
 
 def locate_segment(table: DispatchTable, p_req: float) -> ActiveSets:
@@ -521,7 +544,7 @@ def _locate(table: DispatchTable, p_req: float) -> tuple[ActiveSets, _Window]:
     # caller solves with this record, never with a second read of the slot,
     # which another thread may have replaced in between.
     cols = table._columns
-    if math.isnan(p_req) or p_req < cols.p_low:
+    if not p_req >= cols.p_low:  # also a NaN demand
         raise InfeasibleDemandError(
             DispatchStatus.INFEASIBLE_LOW, p_req, table.p_min, table.p_max
         )
@@ -530,12 +553,19 @@ def _locate(table: DispatchTable, p_req: float) -> tuple[ActiveSets, _Window]:
             DispatchStatus.INFEASIBLE_HIGH, p_req, table.p_min, table.p_max
         )
 
-    points = table.points
-    p_scan = min(max(p_req, table.p_min), table.p_max)
-    slack = _EDGE_RTOL * max(1.0, abs(p_scan))
-    n = bisect_left(points, p_scan - slack, key=_STORED_POWER)
+    # min(max(p_req, p_min), p_max) and max(1.0, |p_scan|), without the calls.
+    p_min, p_max = cols.feasible_range
+    p_scan = p_req
+    if p_min > p_scan:
+        p_scan = p_min
+    if p_max < p_scan:
+        p_scan = p_max
+    scale = abs(p_scan)
+    slack = _EDGE_RTOL * (scale if scale > 1.0 else 1.0)
+    points, powers, top = table.points, cols.powers, p_scan + slack
+    n = bisect_left(powers, p_scan - slack)
     hit = False
-    while points[n].cumulative_power <= p_scan + slack:
+    while powers[n] <= top:
         direct = table._direct_power(points[n].mu)
         if direct >= p_scan:
             hit = direct == p_scan
@@ -547,13 +577,9 @@ def _locate(table: DispatchTable, p_req: float) -> tuple[ActiveSets, _Window]:
         cubic = [] if hit else cols.sums[4 * n - 4 : 4 * n]
         window = _split(cols, mu_high, mu_low, cubic)
         object.__setattr__(table, "_window", window)
-    sets = ActiveSets(
-        at_lb=window.at_lb,
-        interior=window.interior,
-        at_ub=window.at_ub,
-        p_req_eff=p_req - window.pinned,
-        mu_high=mu_high,
-        mu_low=mu_low,
+    sets = _frozen(
+        ActiveSets, window.at_lb, window.interior, window.at_ub, p_req - window.pinned,
+        mu_high, mu_low,
     )
     return sets, window
 
@@ -710,15 +736,15 @@ def _solve_level(window: _Window, p_req_eff: float) -> tuple[float, int, tuple]:
     # the result; after _MAX_ITER passes one more, at the mu the last one
     # moved to, stops the loop. Power falls as mu rises, so every residual
     # sign narrows the bracket, and a step that would leave it (or a zero
-    # slope) bisects instead. The direct stage stops once its residual f says nothing more
-    # about mu. Every term is positive below the power peak, so
-    # f + p_req_eff is their sum, and floor times it estimates the sum's
-    # rounding error: n additions plus 6 for the roundings of each term
-    # (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-    # ch. 4). The residual must also be within floor of slope*mu, so that
-    # the Newton step it implies is within floor of mu: near a power peak
-    # the power is flat in mu, and a residual at the floor can still leave
-    # mu far off.
+    # slope) bisects instead. The direct stage stops once its residual f
+    # says nothing more about mu. Every term is positive below the power
+    # peak, so f + p_req_eff is their sum, and floor times it estimates the
+    # sum's rounding error: n additions plus 6 for the roundings of each
+    # term (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    # ed., ch. 4). The residual must also be within floor of slope*mu, so
+    # that the Newton step it implies is within floor of mu: near a power
+    # peak the power is flat in mu, and a residual at the floor can still
+    # leave mu far off.
     lo, hi, lines = window.mu_low, window.mu_high, window.lines
     c3, c2, c1, c0 = window.cubic
     c0 -= p_req_eff
@@ -768,8 +794,9 @@ def dispatch_table(table: DispatchTable, p_req: float) -> DispatchResult:
     try:
         sets, window = _locate(table, p_req)
     except InfeasibleDemandError as err:
-        return DispatchResult(
-            status=err.status, p_req=p_req, feasible_range=err.feasible_range
+        return _frozen(
+            DispatchResult, err.status, p_req, table._columns.feasible_range,
+            None, None, None, None, None,
         )
 
     # A breakpoint's zero-width record is its result: its level is exact.
@@ -786,20 +813,14 @@ def dispatch_table(table: DispatchTable, p_req: float) -> DispatchResult:
             # At a window end, a branch whose bound level is that end sits
             # at the bound, so the result is the zero-width record at mu.
             currents, powers = _at_level(table._columns, mu)
-    total_power = sum(powers)
-    if abs(total_power - p_req) > _POWER_RTOL * max(1.0, abs(p_req)):
+    total_power, scale = sum(powers), abs(p_req)  # max(1.0, scale) below, without the call
+    if abs(total_power - p_req) > _POWER_RTOL * (scale if scale > 1.0 else 1.0):
         raise SegmentSolveError(
             f"power balance violated: got {total_power} W for demand {p_req} W"
         )
-    return DispatchResult(
-        status=DispatchStatus.OPTIMAL,
-        p_req=p_req,
-        feasible_range=(table.p_min, table.p_max),
-        currents=tuple(currents),
-        total_current=sum(currents),
-        total_power=total_power,
-        mu=mu,
-        sets=sets,
+    return _frozen(
+        DispatchResult, DispatchStatus.OPTIMAL, p_req, table._columns.feasible_range,
+        tuple(currents), sum(currents), total_power, mu, sets,
     )
 
 

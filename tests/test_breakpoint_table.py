@@ -207,6 +207,9 @@ def test_table_levels_and_bound_powers_are_the_model_methods_bit_for_bit(name, r
         assert bits(cols.i_ub) == bits(s.i_ub_eff for s in stacks)
         assert bits(cols.p_lb) == bits(s.power(s.i_lb) for s in stacks)
         assert bits(cols.p_ub) == bits(s.power(s.i_ub_eff) for s in stacks)
+        # The columns that _locate reads in place of the points and p_min/p_max.
+        assert bits(cols.powers) == bits(pt.cumulative_power for pt in table.points)
+        assert bits(cols.feasible_range) == bits([table.p_min, table.p_max])
 
 
 @pytest.mark.parametrize("name", COLUMN_NETWORKS)

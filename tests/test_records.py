@@ -33,6 +33,13 @@ def test_records_of_the_small_corpus_diff_to_zero_and_count_a_change(tmp_path):
     parsed = [(key, f) for key, f in values if "/parsed-stack" in key]
     assert {key.split("/")[0] for key, _ in parsed} == {key.split("/")[0] for key, _ in values}
     assert all(values[key.replace("/parsed-stack", "/stack"), f] == values[key, f] for key, f in parsed)
+    # The ascending route solves every network's demands again, in order on
+    # a kept table, and each result is the shuffled route's bit for bit.
+    ascending = [(key, f) for key, f in values if "/ascending" in key]
+    shuffled = [(key, f) for key, f in values if "/demand" in key]
+    assert {key.split("/")[0] for key, _ in ascending} == {key.split("/")[0] for key, _ in values}
+    assert sorted(ascending) == sorted((key.replace("/demand", "/ascending"), f) for key, f in shuffled)
+    assert all(values[key.replace("/ascending", "/demand"), f] == values[key, f] for key, f in ascending)
 
     same = run_tool("--diff", a, a)
     assert same.returncode == 0

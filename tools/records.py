@@ -8,8 +8,11 @@ float.hex, so two commits can be compared bit for bit:
 
 A record line is ``<key> <field> <value>``. Per network it holds the
 reduced stacks, the table's points, its private per-branch columns,
-p_min/p_max, and the results of a fixed list of demands, solved in a seeded
-order on one shared table and, for a few, by a one-shot dispatch(). It also
+p_min/p_max, and the results of a fixed list of demands: solved in a seeded
+order on one shared table, solved in ascending order on another kept table
+(so consecutive demands in one window, as a sweep makes them, reuse its
+record) and, for a few, by a one-shot dispatch(). The columns that repeat other records,
+the points' cumulative powers and (p_min, p_max), are left out. It also
 holds the network's config route: serialize_network, parse_network and
 reduce_network, with the parsed floats and the reduced stacks, and a
 seeded set of corrupted copies of its config text, each with one to three
@@ -53,6 +56,9 @@ SET_FIELDS = ("at_lb", "interior", "at_ub", "p_req_eff", "mu_high", "mu_low")
 N_SAMPLED_POINTS = 16  # breakpoints whose direct power (and neighbours) are demands
 N_UNIFORM = 8
 N_ONE_SHOT = 3
+# Table columns that repeat other records: the points' cumulative_power and
+# (p_min, p_max).
+REPEATED_COLUMNS = ("powers", "feasible_range")
 # JSON literals a corrupted config puts in place of a value, a stack or a
 # branch: wrong types, "inf" where it is not allowed and a misspelt "Inf",
 # tokens outside JSON, numbers beyond the float range, and numbers the
@@ -147,7 +153,8 @@ def network_records(name: str, network):
         for f in ("mu", "branch_index", "kind", "cumulative_power"):
             yield f"{name}/point{k}", f, fmt(getattr(pt, f))
     for f in table._columns._fields:
-        yield f"{name}/columns", f, fmt(getattr(table._columns, f))
+        if f not in REPEATED_COLUMNS:
+            yield f"{name}/columns", f, fmt(getattr(table._columns, f))
     yield name, "p_min", fmt(table.p_min)
     yield name, "p_max", fmt(table.p_max)
 
@@ -160,6 +167,9 @@ def network_records(name: str, network):
         records[d] = list(result_records(f"{name}/demand{d}", lambda: dispatch_table(table, ps[d])))
     for d in range(len(ps)):
         yield from records[d]
+    ascending = build_table(stacks)
+    for d in sorted(range(len(ps)), key=ps.__getitem__):
+        yield from result_records(f"{name}/ascending{d}", lambda: dispatch_table(ascending, ps[d]))
     for d in order[:N_ONE_SHOT]:
         yield from result_records(f"{name}/oneshot{d}", lambda: dispatch(network, ps[d]))
 
