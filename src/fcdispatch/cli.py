@@ -8,10 +8,10 @@ and its message on stderr, stdout empty); 2 bad argument (a NaN or infinite
 UTF-8, malformed or invalid, a branch whose powers or marginal levels lie
 beyond the float range, or one whose phi-weighted b underflows to zero) or
 unwritable --output, with stdout empty;
-3 infeasible demand; 4 validation mismatch, or a lambda_bisection that
-raises (its message on stderr, stdout empty). Data goes to stdout (or
---output); diagnostics and timings go to stderr so repeated invocations
-stay byte-identical.
+3 infeasible demand (the feasible range on stderr); 4 validation mismatch,
+or a lambda_bisection that raises (its message on stderr, stdout empty).
+Data goes to stdout (or --output); diagnostics and timings go to stderr so
+repeated invocations stay byte-identical.
 """
 
 from __future__ import annotations
@@ -70,16 +70,18 @@ def _cmd_plan(args) -> int:
     return 0
 
 
+def _infeasible(result) -> int:
+    """Name an infeasible demand's feasible range on stderr; exit code 3."""
+    p_min, p_max = result.feasible_range
+    print(f"{_INFEASIBLE_MESSAGE}: feasible range is [{p_min:.3f}, {p_max:.3f}] W", file=sys.stderr)
+    return 3
+
+
 def _cmd_solve(args) -> int:
     result = dispatch(_load_stacks(args.config), args.power)
     _emit(serialize_result(result), args.output)
     if result.status is not DispatchStatus.OPTIMAL:
-        print(
-            f"{_INFEASIBLE_MESSAGE}: feasible range is "
-            f"[{result.feasible_range[0]:.3f}, {result.feasible_range[1]:.3f}] W",
-            file=sys.stderr,
-        )
-        return 3
+        return _infeasible(result)
     return 0
 
 
@@ -106,8 +108,7 @@ def _cmd_validate(args) -> int:
     result = dispatch(stacks, args.power)
     t_dispatch = time.perf_counter() - t0
     if result.status is not DispatchStatus.OPTIMAL:
-        print(_INFEASIBLE_MESSAGE, file=sys.stderr)
-        return 3
+        return _infeasible(result)
 
     t0 = time.perf_counter()
     try:

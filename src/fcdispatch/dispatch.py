@@ -95,7 +95,7 @@ class DispatchStatus(enum.Enum):
 
 
 class InfeasibleDemandError(ValueError):
-    """Demand outside the network's obtainable power range."""
+    """Demand outside the obtainable power range, raised by locate_segment."""
 
     def __init__(self, status: DispatchStatus, p_req: float, p_min: float, p_max: float):
         self.status = status
@@ -519,8 +519,8 @@ def locate_segment(table: DispatchTable, p_req: float) -> ActiveSets:
     every branch's power at that level) is at least the demand. A demand
     equal to that power runs at that point's level: the segment is the
     zero-width window [mu, mu]. Demands within the _EDGE_RTOL slack outside
-    [p_min, p_max] are clamped to the edge; beyond it InfeasibleDemandError
-    is raised.
+    [p_min, p_max] are clamped to the edge; beyond it, NaN included,
+    InfeasibleDemandError is raised, the one place that builds it.
 
     The search bisects the stored cumulative powers, which lie within the
     slack of the direct ones. So every point stored below the demand's
@@ -536,22 +536,24 @@ def locate_segment(table: DispatchTable, p_req: float) -> ActiveSets:
     split and the pinned power from that record, and its sets share the
     record's frozensets; the bracket is still found and confirmed as above.
     """
-    return _locate(table, p_req)[0]
+    sets, window = _locate(table, p_req)
+    if window is None:
+        raise InfeasibleDemandError(sets, p_req, table.p_min, table.p_max)
+    return sets
 
 
-def _locate(table: DispatchTable, p_req: float) -> tuple[ActiveSets, _Window]:
+def _locate(
+    table: DispatchTable, p_req: float
+) -> tuple[ActiveSets, _Window] | tuple[DispatchStatus, None]:
     # locate_segment, plus the window's record that its sets come from. A
     # caller solves with this record, never with a second read of the slot,
-    # which another thread may have replaced in between.
+    # which another thread may have replaced in between. An infeasible
+    # demand, NaN included, returns its status and None, and raises nothing.
     cols = table._columns
     if not p_req >= cols.p_low:  # also a NaN demand
-        raise InfeasibleDemandError(
-            DispatchStatus.INFEASIBLE_LOW, p_req, table.p_min, table.p_max
-        )
+        return DispatchStatus.INFEASIBLE_LOW, None
     if p_req > cols.p_high:
-        raise InfeasibleDemandError(
-            DispatchStatus.INFEASIBLE_HIGH, p_req, table.p_min, table.p_max
-        )
+        return DispatchStatus.INFEASIBLE_HIGH, None
 
     # min(max(p_req, p_min), p_max) and max(1.0, |p_scan|), without the calls.
     p_min, p_max = cols.feasible_range
@@ -790,13 +792,11 @@ def _solve_level(window: _Window, p_req_eff: float) -> tuple[float, int, tuple]:
 
 
 def dispatch_table(table: DispatchTable, p_req: float) -> DispatchResult:
-    """Online solve against a prebuilt table (shareable across demands)."""
-    try:
-        sets, window = _locate(table, p_req)
-    except InfeasibleDemandError as err:
+    """Online solve on a shareable table; an infeasible or NaN demand returns its status."""
+    sets, window = _locate(table, p_req)
+    if window is None:  # sets is the infeasible status
         return _frozen(
-            DispatchResult, err.status, p_req, table._columns.feasible_range,
-            None, None, None, None, None,
+            DispatchResult, sets, p_req, table._columns.feasible_range, None, None, None, None, None
         )
 
     # A breakpoint's zero-width record is its result: its level is exact.

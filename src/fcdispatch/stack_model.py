@@ -196,7 +196,13 @@ def reduce_network(network: Network) -> tuple[EquivalentStack, ...]:
 def as_equivalent_stacks(
     network: Network | Sequence[EquivalentStack],
 ) -> tuple[EquivalentStack, ...]:
-    """Accept either a Network or pre-reduced stacks and return stacks."""
+    """Accept either a Network or pre-reduced stacks and return stacks.
+
+    An empty network raises NetworkValidationError, as reduce_network does.
+    """
     if isinstance(network, Network):
         return reduce_network(network)
-    return tuple(network)
+    stacks = tuple(network)
+    if not stacks:
+        raise NetworkValidationError("network has no branches")
+    return stacks

@@ -298,9 +298,13 @@ def test_command_reduces_the_network_once(capsys, bench3_config, reduce_branch_c
 
 
 def test_validate_infeasible_exits_3(capsys, bench3_config):
-    code, _, err = run_cli(capsys, "validate", bench3_config, "--power", "50")
-    assert code == 3
-    assert "Required power cannot be obtained" in err
+    # validate names the feasible range with solve's own line.
+    for power in ("50", "1e9"):
+        code, out, err = run_cli(capsys, "validate", bench3_config, "--power", power)
+        assert code == 3
+        assert out == ""
+        assert err == "Required power cannot be obtained: feasible range is [310.971, 19206.708] W\n"
+        assert run_cli(capsys, "solve", bench3_config, "--power", power)[2] == err
 
 
 @pytest.mark.parametrize("power", ["5000", "7000.5", "9000"])

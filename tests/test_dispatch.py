@@ -17,6 +17,7 @@ from fcdispatch import (
     dispatch,
     dispatch_table,
     feasible_power_range,
+    grid_bruteforce,
     lambda_bisection,
     locate_segment,
     reduce_network,
@@ -206,6 +207,52 @@ def test_locate_segment_rejects_out_of_range(bench3_stacks):
         locate_segment(table, 25000.0)
     assert high.value.status is DispatchStatus.INFEASIBLE_HIGH
     assert high.value.feasible_range == (table.p_min, table.p_max)
+
+
+def test_dispatch_table_reports_an_infeasible_demand_without_the_exception(
+    bench3_stacks, bench30_stacks, monkeypatch
+):
+    # dispatch_table takes the status from _locate's return; only
+    # locate_segment builds InfeasibleDemandError, with the same verdict.
+    module = importlib.import_module("fcdispatch.dispatch")
+
+    def never_built(*args, **kwargs):
+        raise AssertionError("InfeasibleDemandError constructed")
+
+    low, high = DispatchStatus.INFEASIBLE_LOW, DispatchStatus.INFEASIBLE_HIGH
+    for stacks in (bench3_stacks, bench30_stacks):
+        table = build_table(stacks)
+        cases = [
+            (table.p_min - 1.0, low), (table.p_max + 1.0, high),
+            (math.nan, low), (math.inf, high), (-math.inf, low),
+        ]
+        with monkeypatch.context() as patched:
+            patched.setattr(module, "InfeasibleDemandError", never_built)
+            for p, status in cases:
+                result = dispatch_table(table, p)
+                assert result.status is status
+                assert result.feasible_range is feasible_power_range(table)
+                assert result.currents is None and result.sets is None
+
+        p_low, p_high = table._columns.p_low, table._columns.p_high
+        edges = [p_low, p_high, math.nextafter(p_low, -math.inf), math.nextafter(p_high, math.inf)]
+        for p in edges:
+            result = dispatch_table(table, p)
+            if result.status is DispatchStatus.OPTIMAL:
+                assert locate_segment(table, p) == result.sets
+                continue
+            with pytest.raises(InfeasibleDemandError) as err:
+                locate_segment(table, p)
+            assert err.value.status is result.status
+            assert err.value.p_req == p
+            assert err.value.feasible_range == (table.p_min, table.p_max)
+            assert str(err.value) == (
+                f"Required power cannot be obtained: p_req={p} W outside "
+                f"[{table.p_min}, {table.p_max}] W"
+            )
+        assert [dispatch_table(table, p).status for p in edges] == [
+            DispatchStatus.OPTIMAL, DispatchStatus.OPTIMAL, low, high
+        ]
 
 
 def test_segment_cubic_candidates(bench3_stacks):
@@ -423,11 +470,18 @@ def test_open_window_without_interior_branch():
     assert verify_kkt(result, stacks).ok
 
 
-def test_empty_network_is_rejected():
-    with pytest.raises(NetworkValidationError, match="network has no branches"):
-        build_table(())
-    with pytest.raises(NetworkValidationError, match="network has no branches"):
-        dispatch((), 100.0)
+def test_empty_network_is_rejected(bench3_stacks):
+    optimal = dispatch(bench3_stacks, 8000.0)
+    calls = [
+        lambda: build_table(()),
+        lambda: dispatch((), 100.0),
+        lambda: lambda_bisection((), 100.0),
+        lambda: grid_bruteforce((), 100.0, 10),
+        lambda: verify_kkt(optimal, ()),
+    ]
+    for call in calls:
+        with pytest.raises(NetworkValidationError, match="network has no branches"):
+            call()
 
 
 def test_dispatch_reduction_commutes(bench30_network, bench30_stacks):

@@ -108,8 +108,10 @@ def corpus(small: bool):
 
 def demands(stacks, table, r: random.Random) -> list[float]:
     """Window edges and their outer neighbours, a sample of breakpoint powers
-    with their float neighbours and the midpoints between them, and uniform
-    draws; every breakpoint power is a direct sum of the model's methods."""
+    with their float neighbours and the midpoints between them, uniform
+    draws, and infeasible demands: one clear of each edge's slack, NaN and
+    both infinities. Every breakpoint power is a direct sum of the model's
+    methods."""
     lo, hi = table.p_min, table.p_max
     out = [lo, hi, math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)]
     out += [lo * (1.0 + 1e-9), hi * (1.0 - 1e-9)]
@@ -121,6 +123,8 @@ def demands(stacks, table, r: random.Random) -> list[float]:
         out += [p, math.nextafter(p, -math.inf), math.nextafter(p, math.inf)]
     out += [0.5 * (p + q) for p, q in zip(direct, direct[1:])]
     out += [lo + r.random() * (hi - lo) for _ in range(N_UNIFORM)]
+    out += [lo - max(1.0, 1e-3 * abs(lo)), hi + max(1.0, 1e-3 * abs(hi))]
+    out += [math.nan, math.inf, -math.inf]
     return out
 
 
@@ -168,7 +172,9 @@ def network_records(name: str, network):
     for d in range(len(ps)):
         yield from records[d]
     ascending = build_table(stacks)
-    for d in sorted(range(len(ps)), key=ps.__getitem__):
+    # NaN last: compared with NaN every demand is unordered, which would
+    # scramble the sort around it.
+    for d in sorted(range(len(ps)), key=lambda d: (math.isnan(ps[d]), ps[d])):
         yield from result_records(f"{name}/ascending{d}", lambda: dispatch_table(ascending, ps[d]))
     for d in order[:N_ONE_SHOT]:
         yield from result_records(f"{name}/oneshot{d}", lambda: dispatch(network, ps[d]))
