@@ -4,7 +4,14 @@ Given branches with square-root polarization curves V = a + b*sqrt(I) and a
 power demand, computes the per-branch currents that deliver the demand with
 the least total current, using an offline breakpoint table and an online
 analytic active-set solve.
+
+dispatch, netconfig and stack_model, which the production commands use, are
+imported with the package. The names of paper (the paper's segment solves),
+poly_roots and reference (the oracles), which only cross-checks use, are
+resolved on first access (PEP 562), so `fcdispatch solve` never loads them.
 """
+
+from importlib import import_module as _import_module
 
 from .dispatch import (
     ActiveSets,
@@ -15,16 +22,12 @@ from .dispatch import (
     KktReport,
     ObservablePoint,
     PointKind,
-    SegmentCandidate,
     SegmentSolveError,
     build_table,
     dispatch,
     dispatch_table,
     feasible_power_range,
     locate_segment,
-    select_feasible_root,
-    solve_segment_numeric,
-    solve_segment_sqrt,
     verify_kkt,
 )
 from .netconfig import (
@@ -33,15 +36,6 @@ from .netconfig import (
     serialize_network,
     serialize_result,
     sweep_to_csv,
-)
-from .poly_roots import CubicCoefficients, real_roots
-from .reference import (
-    ComparisonReport,
-    OracleMethod,
-    OracleResult,
-    compare,
-    grid_bruteforce,
-    lambda_bisection,
 )
 from .stack_model import (
     BranchSpec,
@@ -101,3 +95,34 @@ __all__ = [
     "verify_kkt",
     "__version__",
 ]
+
+# Name -> the submodule that defines it, imported on the name's first access.
+_LAZY = {
+    "SegmentCandidate": "paper",
+    "select_feasible_root": "paper",
+    "solve_segment_numeric": "paper",
+    "solve_segment_sqrt": "paper",
+    "CubicCoefficients": "poly_roots",
+    "real_roots": "poly_roots",
+    "ComparisonReport": "reference",
+    "OracleMethod": "reference",
+    "OracleResult": "reference",
+    "compare": "reference",
+    "grid_bruteforce": "reference",
+    "lambda_bisection": "reference",
+}
+_LAZY_MODULES = frozenset(_LAZY.values())
+
+
+def __getattr__(name: str):
+    if name in _LAZY_MODULES:
+        return _import_module(f".{name}", __name__)
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(globals().keys() | _LAZY.keys())

@@ -25,7 +25,6 @@ from .dispatch import (
     _INFEASIBLE_MESSAGE, DispatchStatus, SegmentSolveError, build_table, dispatch, dispatch_table
 )
 from .netconfig import ConfigError, parse_network, serialize_result, sweep_to_csv
-from .reference import compare, grid_bruteforce, lambda_bisection
 from .stack_model import NetworkValidationError, reduce_network
 
 _VALIDATE_TOL_CURRENT = 1e-3  # amperes, per branch
@@ -102,6 +101,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    # The oracles are imported here alone: no other command loads them.
+    from .reference import compare, grid_bruteforce, lambda_bisection
+
     stacks = _load_stacks(args.config)
 
     t0 = time.perf_counter()

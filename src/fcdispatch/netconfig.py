@@ -170,12 +170,8 @@ def sweep_to_csv(results: Sequence[DispatchResult], n_branches: int) -> str:
     lines = [",".join(header)]
     for res in results:
         if res.status is DispatchStatus.OPTIMAL:
-            cells = (
-                [repr(res.p_req)]
-                + [repr(i) for i in res.currents]
-                + [repr(res.total_current), repr(res.mu), res.status.value]
-            )
+            cells = ",".join(map(repr, (res.p_req, *res.currents, res.total_current, res.mu)))
         else:
-            cells = [repr(res.p_req)] + [""] * (n_branches + 2) + [res.status.value]
-        lines.append(",".join(cells))
+            cells = repr(res.p_req) + "," * (n_branches + 2)
+        lines.append(f"{cells},{res.status.value}")
     return "\n".join(lines) + "\n"

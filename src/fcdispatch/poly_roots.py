@@ -7,9 +7,10 @@ the original polynomial, so returned residuals are near machine precision
 even for poorly scaled coefficients.
 
 All the roots are wanted only by the paper's three-candidate segment cubic,
-solve_segment_sqrt, which is kept as a cross-check. The online dispatch
-path solves its cubic in the level without this module: the segment's level
-window brackets the one root it needs.
+solve_segment_sqrt in paper.py, which is kept as a cross-check and is this
+module's only importer. The online dispatch path solves its cubic in the
+level without this module: the segment's level window brackets the one root
+it needs.
 """
 
 from __future__ import annotations

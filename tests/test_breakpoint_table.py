@@ -447,8 +447,8 @@ def test_online_solve_finds_no_cubic_roots(monkeypatch, bench3_network, bench30_
     def fail(*args):
         raise AssertionError("online solve called poly_roots")
 
-    # The package exports a function named dispatch, which shadows the module.
-    module = importlib.import_module("fcdispatch.dispatch")
+    # paper.py, the paper's segment solves, is the only importer of both.
+    module = importlib.import_module("fcdispatch.paper")
     monkeypatch.setattr(module, "real_roots", fail)
     monkeypatch.setattr(module, "CubicCoefficients", fail)
     rng = np.random.default_rng(11)

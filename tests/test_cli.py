@@ -266,7 +266,7 @@ def test_validate_exits_4_when_lambda_bisection_raises(capsys, bench3_config, mo
     def missed(network, p_req):
         raise ValueError(f"power balance missed: got 0.0 W for demand {p_req} W")
 
-    monkeypatch.setattr("fcdispatch.cli.lambda_bisection", missed)
+    monkeypatch.setattr("fcdispatch.reference.lambda_bisection", missed)
     code, out, err = run_cli(capsys, "validate", bench3_config, "--power", "8000")
     assert code == 4
     assert out == ""
@@ -325,7 +325,7 @@ def test_validate_raises_other_grid_errors(monkeypatch, bench3_config):
     def broken(*args):
         raise ValueError("points_per_branch must be in [2, 400], got 1")
 
-    monkeypatch.setattr("fcdispatch.cli.grid_bruteforce", broken)
+    monkeypatch.setattr("fcdispatch.reference.grid_bruteforce", broken)
     with pytest.raises(ValueError, match="points_per_branch"):
         main(["validate", bench3_config, "--power", "8000"])
 
@@ -391,15 +391,82 @@ def test_repeated_invocations_are_byte_identical(capsys, bench3_config):
         assert out_a == out_b
 
 
-def test_cli_import_does_not_load_numpy():
-    # A fresh interpreter: this test session has numpy loaded already.
+def run_child(code, *args):
+    # A fresh interpreter: this test session has every module loaded already.
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    probe = "import fcdispatch.cli, sys; sys.exit('numpy' in sys.modules)"
-    done = subprocess.run(
-        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=60,
     )
-    assert done.returncode == 0
+
+
+def test_cli_import_does_not_load_numpy():
+    done = run_child("import fcdispatch.cli, sys; sys.exit('numpy' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+
+
+# cli.main on the child's arguments, then the fcdispatch modules and numpy
+# that the command loaded, as stderr's last line.
+MAIN_PROBE = """
+import sys
+from fcdispatch.cli import main
+code = main(sys.argv[1:])
+print(*sorted(m for m in sys.modules if m == "numpy" or m.startswith("fcdispatch")), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--power", "8000"),
+        ("sweep", "--from", "400", "--to", "19000", "--points", "13"),
+        ("plan",),
+    ],
+)
+def test_production_commands_load_only_production_modules(bench3_config, argv):
+    done = run_child(MAIN_PROBE, argv[0], bench3_config, *argv[1:])
+    assert done.returncode == 0, done.stderr
+    # Neither paper, poly_roots, reference nor numpy.
+    assert set(done.stderr.splitlines()[-1].split()) == {
+        "fcdispatch", "fcdispatch.cli", "fcdispatch.dispatch", "fcdispatch.netconfig",
+        "fcdispatch.stack_model",
+    }
+
+
+def test_validate_loads_the_oracles_and_passes(bench3_config):
+    done = run_child(MAIN_PROBE, "validate", bench3_config, "--power", "8000")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.endswith("result: PASS\n")
+    # lambda_bisection, and on three branches the grid search with numpy.
+    assert {"fcdispatch.reference", "numpy"} <= set(done.stderr.splitlines()[-1].split())
+
+
+def test_package_names_resolve_to_their_defining_modules():
+    # Every exported name, the lazily resolved ones included, is the object
+    # its defining module holds; the function dispatch still hides the
+    # submodule of the same name.
+    probe = """
+import importlib, sys, types
+import fcdispatch
+lazy = {"fcdispatch.paper", "fcdispatch.poly_roots", "fcdispatch.reference"}
+assert not lazy & set(sys.modules), lazy & set(sys.modules)
+listed = set(dir(fcdispatch))
+assert set(fcdispatch.__all__) <= listed, set(fcdispatch.__all__) - listed
+for name in fcdispatch.__all__:
+    obj = getattr(fcdispatch, name)
+    if name != "__version__":
+        assert getattr(importlib.import_module(obj.__module__), name) is obj, name
+assert lazy <= set(sys.modules)
+assert isinstance(fcdispatch.dispatch, types.FunctionType)
+assert fcdispatch.dispatch is sys.modules["fcdispatch.dispatch"].dispatch
+assert fcdispatch.reference is sys.modules["fcdispatch.reference"]
+from fcdispatch import solve_segment_sqrt
+assert solve_segment_sqrt is sys.modules["fcdispatch.paper"].solve_segment_sqrt
+"""
+    done = run_child(probe)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize(

@@ -651,6 +651,17 @@ def test_verify_kkt_requires_optimal_result(bench3_network):
         verify_kkt(bad, bench3_network)
 
 
+def test_verify_kkt_requires_the_results_branch_count(bench3_network, bench30_network):
+    # A 15-branch result against 3 branches, and a 3-branch one against 15:
+    # neither has a multiplier for every branch.
+    small, large = dispatch(bench3_network, 8000.0), dispatch(bench30_network, 60000.0)
+    assert small.status is large.status is DispatchStatus.OPTIMAL
+    with pytest.raises(ValueError, match="the result has 15 branches, the network 3"):
+        verify_kkt(large, bench3_network)
+    with pytest.raises(ValueError, match="the result has 3 branches, the network 15"):
+        verify_kkt(small, bench30_network)
+
+
 def test_verify_kkt_at_peak_demand(bench30_network, bench30_stacks):
     table = build_table(bench30_stacks)
     result = dispatch(bench30_network, table.p_max)

@@ -154,17 +154,27 @@ def test_serialize_result_field_order_is_stable(bench3_network):
 
 
 def test_sweep_csv_shape_and_golden(bench3_network):
-    results = [dispatch(bench3_network, p) for p in (1000.0, 8000.0, 15000.0)]
+    results = [dispatch(bench3_network, p) for p in (100.0, 1000.0, 8000.0, 15000.0, 1e9)]
     text = sweep_to_csv(results, 3)
     lines = text.strip().split("\n")
     assert lines[0] == "p_req,i_1,i_2,i_3,i_total,mu,status"
-    assert len(lines) == 4
-    row = lines[2].split(",")
+    assert len(lines) == 6
+    row = lines[3].split(",")
     assert row[0] == "8000.0"
-    assert float(row[4]) == results[1].total_current
+    assert float(row[4]) == results[2].total_current
     assert row[6] == "optimal"
-    # Byte-stable golden check.
-    assert sweep_to_csv(results, 3) == text
+    # The exact bytes, an infeasible row at each end included.
+    assert text == (
+        "p_req,i_1,i_2,i_3,i_total,mu,status\n"
+        "100.0,,,,,,infeasible_low\n"
+        "1000.0,18.240736778591884,0.4318796014152416,6.646,25.31861638000713,"
+        "39.34592989287904,optimal\n"
+        "8000.0,81.02027467268553,136.2281860249194,17.071270644081054,234.319731341686,"
+        "30.143308782903258,optimal\n"
+        "15000.0,106.8127,294.11959761190747,85.33675059868533,486.2690482105928,"
+        "25.566245698286696,optimal\n"
+        "1000000000.0,,,,,,infeasible_high\n"
+    )
 
 
 def test_sweep_csv_infeasible_rows(bench3_network):

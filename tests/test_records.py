@@ -4,6 +4,8 @@ The tool runs in a child process: loading it here would add its float
 literals to the constants Hypothesis draws from in later test modules.
 """
 
+import hashlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -45,6 +47,19 @@ def test_records_of_the_small_corpus_diff_to_zero_and_count_a_change(tmp_path):
     for field, value in (("status", "infeasible_low"), ("status", "infeasible_high"), ("p_req", "nan")):
         hit = {key.split("/")[0] for key, f in values if f == field and values[key, f] == value}
         assert hit == networks, (field, value)
+    # The CLI calls on bench3 and bench30: each one's exit code and a
+    # sha256 of its stdout, which only the bad arguments leave empty.
+    cli = {key: values[key, f] for key, f in values if f == "cli"}
+    expected = {
+        "plan": 0, "solve-interior": 0, "solve-breakpoint": 0, "solve-infeasible": 3,
+        "sweep": 0, "validate": 0, "bad-power": 2, "bad-sweep": 2,
+    }
+    assert set(cli) == {f"{net}/cli-{call}" for net in ("bench3", "bench30") for call in expected}
+    empty = hashlib.sha256(b"").hexdigest()
+    for key, value in cli.items():
+        code = expected[key.split("/cli-")[1]]
+        assert re.fullmatch(rf"exit={code} stdout=[0-9a-f]{{64}}", value), (key, value)
+        assert value.endswith(empty) == (code == 2), (key, value)
 
     same = run_tool("--diff", a, a)
     assert same.returncode == 0

@@ -19,6 +19,10 @@ seeded set of corrupted copies of its config text, each with one to three
 values, stacks or branches of one branch replaced by a wrong literal or
 deleted: the error parse_network raises (field config_error), or the
 floats it parsed. A raise is recorded as the exception's type and message.
+For bench3 and bench30 it also holds the exit code and a sha256 of the
+stdout of a fixed list of fcdispatch.cli.main calls (field cli): plan;
+solve at an interior, a breakpoint and an infeasible demand; a 50-point
+sweep across both window edges; validate; and two bad arguments.
 --src puts another checkout's source directory first on the import path,
 so the records of a parent commit come from its own code; the corpus
 generators are those of tests/conftest.py next to this file. --diff counts
@@ -38,12 +42,16 @@ networks, with 6 corrupted configs each.
 from __future__ import annotations
 
 import argparse
+import hashlib
+import io
 import json
 import math
 import random
 import re
 import sys
+import tempfile
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import chain
 from pathlib import Path
 
@@ -59,6 +67,7 @@ N_ONE_SHOT = 3
 # Table columns that repeat other records: the points' cumulative_power and
 # (p_min, p_max).
 REPEATED_COLUMNS = ("powers", "feasible_range")
+CLI_NETWORKS = ("bench3", "bench30")
 # JSON literals a corrupted config puts in place of a value, a stack or a
 # branch: wrong types, "inf" where it is not allowed and a misspelt "Inf",
 # tokens outside JSON, numbers beyond the float range, and numbers the
@@ -265,6 +274,40 @@ def config_records(name: str, network, count: int):
         yield f"{name}/config{c}", "config_parsed", fmt(floats)
 
 
+def cli_records(name: str, network):
+    """Exit code and stdout of each fcdispatch.cli.main call in a fixed
+    list on the network's config; stderr, which holds timings, is dropped."""
+    from fcdispatch import build_table, reduce_network, serialize_network
+    from fcdispatch.cli import main
+
+    stacks = reduce_network(network)
+    table = build_table(stacks)
+    lo, hi = table.p_min, table.p_max
+    mu = table.points[len(table.points) // 2].mu
+    at_point = sum(s.power(s.inverse_marginal(mu)) for s in stacks)
+    interior = 0.5 * (lo + hi)
+    margin = 0.05 * (hi - lo)
+    calls = {
+        "plan": ["plan"],
+        "solve-interior": ["solve", "--power", repr(interior)],
+        "solve-breakpoint": ["solve", "--power", repr(at_point)],
+        "solve-infeasible": ["solve", "--power", repr(hi + max(1.0, 1e-3 * hi))],
+        "sweep": ["sweep", "--from", repr(lo - margin), "--to", repr(hi + margin), "--points", "50"],
+        "validate": ["validate", "--power", repr(interior)],
+        "bad-power": ["solve", "--power", "nan"],
+        "bad-sweep": ["sweep", "--from", repr(hi), "--to", repr(lo), "--points", "50"],
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / f"{name}.json"
+        config.write_text(serialize_network(network), encoding="utf-8")
+        for call, (command, *args) in calls.items():
+            stdout = io.StringIO()
+            with redirect_stdout(stdout), redirect_stderr(io.StringIO()):
+                code = main([command, str(config), *args])
+            digest = hashlib.sha256(stdout.getvalue().encode("utf-8")).hexdigest()
+            yield f"{name}/cli-{call}", "cli", f"exit={code} stdout={digest}"
+
+
 def write_records(out, small: bool) -> int:
     n = 0
     n_configs = 6 if small else 4
@@ -273,6 +316,7 @@ def write_records(out, small: bool) -> int:
             network_records(name, network),
             parse_records(name, network),
             config_records(name, network, n_configs),
+            cli_records(name, network) if name in CLI_NETWORKS else (),
         ):
             out.write(f"{key} {f} {value}\n")
             n += 1
