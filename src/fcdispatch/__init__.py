@@ -61,6 +61,7 @@ __all__ = [
     "DispatchStatus",
     "DispatchTable",
     "EquivalentStack",
+    "ExactSplit",
     "InfeasibleDemandError",
     "KktReport",
     "Network",
@@ -77,6 +78,7 @@ __all__ = [
     "dispatch",
     "dispatch_table",
     "effective_upper_bound",
+    "exact_split",
     "feasible_power_range",
     "grid_bruteforce",
     "lambda_bisection",
@@ -107,7 +109,9 @@ _LAZY = {
     "ComparisonReport": "reference",
     "OracleMethod": "reference",
     "OracleResult": "reference",
+    "ExactSplit": "reference",
     "compare": "reference",
+    "exact_split": "reference",
     "grid_bruteforce": "reference",
     "lambda_bisection": "reference",
 }

@@ -8,8 +8,10 @@ and its message on stderr, stdout empty); 2 bad argument (a NaN or infinite
 UTF-8, malformed or invalid, a branch whose powers or marginal levels lie
 beyond the float range, or one whose phi-weighted b underflows to zero) or
 unwritable --output, with stdout empty;
-3 infeasible demand (the feasible range on stderr); 4 validation mismatch,
-or a lambda_bisection that raises (its message on stderr, stdout empty).
+3 infeasible demand (the feasible range on stderr); 4 validation mismatch
+(a branch farther than 1e-3 A from lambda_bisection's or exact_split's
+current), or a lambda_bisection that raises (its message on stderr, stdout
+empty).
 Data goes to stdout (or --output); diagnostics and timings go to stderr so
 repeated invocations stay byte-identical.
 """
@@ -27,8 +29,7 @@ from .dispatch import (
 from .netconfig import ConfigError, parse_network, serialize_result, sweep_to_csv
 from .stack_model import NetworkValidationError, reduce_network
 
-_VALIDATE_TOL_CURRENT = 1e-3  # amperes, per branch
-_VALIDATE_GRID_POINTS = 200
+_VALIDATE_TOL_CURRENT = 1e-3  # amperes, per branch, against each oracle
 
 
 def _load_stacks(path: str):
@@ -102,7 +103,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_validate(args) -> int:
     # The oracles are imported here alone: no other command loads them.
-    from .reference import compare, grid_bruteforce, lambda_bisection
+    from .reference import compare, exact_split, lambda_bisection
 
     stacks = _load_stacks(args.config)
 
@@ -121,6 +122,11 @@ def _cmd_validate(args) -> int:
     t_oracle = time.perf_counter() - t0
     report = compare(result, oracle, _VALIDATE_TOL_CURRENT)
 
+    t0 = time.perf_counter()
+    exact = exact_split(stacks, args.power)
+    t_exact = time.perf_counter() - t0
+    exact_report = compare(result, exact, _VALIDATE_TOL_CURRENT)
+
     lines = [
         f"demand: {args.power} W",
         f"dispatch total: {result.total_current:.6f} A",
@@ -129,34 +135,17 @@ def _cmd_validate(args) -> int:
     ]
     for j, d in enumerate(report.branch_deltas):
         lines.append(f"  branch {j + 1}: delta {d:+.3e} A")
+    lines.append(
+        f"exact total: {exact.total_current:.6f} A "
+        f"(max branch delta {exact_report.max_branch_delta:.3e} A)"
+    )
 
-    grid_ok = True
-    if len(stacks) <= 3:
-        spacing = sum(
-            (s.i_ub_eff - s.i_lb) / (_VALIDATE_GRID_POINTS - 1) for s in stacks[:-1]
-        )
-        t0 = time.perf_counter()
-        try:
-            grid = grid_bruteforce(stacks, args.power, _VALIDATE_GRID_POINTS)
-        except ValueError as err:
-            if not str(err).startswith("no feasible grid point"):
-                raise  # only a grid without a feasible point leaves lambda_bisection alone
-            lines.append(f"grid: skipped, {err}")
-        else:
-            t_grid = time.perf_counter() - t0
-            gap = grid.total_current - result.total_current
-            grid_ok = -1e-6 <= gap <= spacing + 1e-6
-            lines.append(
-                f"grid total: {grid.total_current:.6f} A "
-                f"(gap {gap:+.3e} A, allowance {spacing:.3e} A)"
-            )
-            print(f"grid search: {t_grid * 1e3:.3f} ms", file=sys.stderr)
-
-    verdict = report.passed and grid_ok
+    verdict = report.passed and exact_report.passed
     lines.append(f"result: {'PASS' if verdict else 'FAIL'}")
     _emit("\n".join(lines) + "\n", args.output)
     print(f"dispatch: {t_dispatch * 1e3:.3f} ms", file=sys.stderr)
     print(f"lambda bisection: {t_oracle * 1e3:.3f} ms", file=sys.stderr)
+    print(f"exact split: {t_exact * 1e3:.3f} ms", file=sys.stderr)
     return 0 if verdict else 4
 
 

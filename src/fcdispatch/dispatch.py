@@ -685,14 +685,19 @@ def _snap_zero(v: float) -> float:
 def verify_kkt(
     result: DispatchResult, network: Network | Sequence[EquivalentStack]
 ) -> KktReport:
-    """Certify first-order optimality of an optimal dispatch result.
+    """Check the first-order conditions of an optimal result's sets at its level.
 
     Checks that interior marginals agree with the reported level, that
     lower-bound marginals sit at or below it and upper-bound marginals at or
     above it (the multiplier nonnegativity chain), and that branches
     reported at a bound actually carry the bound current (complementary
-    slackness). chain_ok covers all three. A result with another branch
-    count than the network raises ValueError.
+    slackness). chain_ok covers the last two, and ok all three and the
+    multipliers' signs. It checks neither the power balance nor that
+    interior currents lie within their bounds, so a result relabelled with
+    another demand still passes (ROADMAP item 11): the balance is checked
+    where results are made, by dispatch_table, which raises
+    SegmentSolveError beyond the 1e-9 relative balance. A result with
+    another branch count than the network raises ValueError.
     """
     if result.status is not DispatchStatus.OPTIMAL or result.sets is None:
         raise ValueError("verify_kkt requires an optimal dispatch result")

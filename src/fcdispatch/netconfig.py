@@ -125,7 +125,11 @@ def _read_branch(raw: Any, j: int) -> BranchSpec:
 
 
 def serialize_network(network: Network) -> str:
-    """Config text that parses back to the same network bit-exactly."""
+    """Config text that parses back to the same network bit-exactly.
+
+    A NaN or infinite value (other than an unbounded i_ub) raises
+    ValueError: JSON has no token for it, and parse_network rejects one.
+    """
     doc = {
         "version": "1",
         "branches": [
@@ -137,11 +141,15 @@ def serialize_network(network: Network) -> str:
             for br in network.branches
         ],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def serialize_result(result: DispatchResult) -> str:
-    """Deterministic JSON record for one dispatch (branch numbers 1-based)."""
+    """Deterministic JSON record for one dispatch (branch numbers 1-based).
+
+    A NaN or infinite value, such as a NaN demand's p_req, raises
+    ValueError rather than writing a token that is not JSON.
+    """
     doc: dict[str, Any] = {
         "status": result.status.value,
         "p_req": result.p_req,
@@ -160,7 +168,7 @@ def serialize_result(result: DispatchResult) -> str:
         }
     else:
         doc["message"] = _INFEASIBLE_MESSAGE
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def sweep_to_csv(results: Sequence[DispatchResult], n_branches: int) -> str:

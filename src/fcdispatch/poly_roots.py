@@ -50,24 +50,15 @@ def _newton_polish(c3: float, c2: float, c1: float, c0: float, x: float) -> floa
     return x
 
 
-def _linear_roots(c1: float, c0: float) -> list[tuple[float, int]]:
-    if c1 == 0.0:
-        if c0 == 0.0:
-            raise ValueError("all coefficients are zero; roots are undefined")
-        return []
-    return [(-c0 / c1, 1)]
-
-
 def _quadratic_roots(c2: float, c1: float, c0: float) -> list[tuple[float, int]]:
     disc = c1 * c1 - 4.0 * c2 * c0
     if disc < 0.0:
         return []
     if disc == 0.0:
         return [(-c1 / (2.0 * c2), 2)]
-    # Pair the subtraction-safe root with its cofactor to avoid cancellation.
+    # Pair the subtraction-safe root with its cofactor to avoid cancellation;
+    # q is 0 only where disc is, which returned above.
     q = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))
-    if q == 0.0:
-        return sorted([(0.0, 1), (-c1 / c2, 1)])
     return sorted([(q / c2, 1), (c0 / q, 1)])
 
 
@@ -123,7 +114,7 @@ def real_roots(coeffs: CubicCoefficients) -> list[tuple[float, int]]:
             if abs(c1) <= _DEGENERACY_REL * scale:
                 roots = []  # effectively a nonzero constant
             else:
-                roots = _linear_roots(c1, c0)
+                roots = [(-c0 / c1, 1)]
         else:
             roots = _quadratic_roots(c2, c1, c0)
     else:

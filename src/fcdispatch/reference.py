@@ -1,9 +1,14 @@
 """Independent reference solvers used to validate dispatch results.
 
-Both oracles deliberately avoid the observable-point table, segment location
-and cubic algebra of the main path: lambda_bisection searches the global
-marginal level directly, and grid_bruteforce enumerates currents for tiny
-networks. They share only the per-branch inverse-marginal primitive.
+The oracles deliberately avoid the observable-point table, segment location
+and level solve of the main path:
+- lambda_bisection bisects the global marginal level in floats, through
+  the model's clamped inverse marginal;
+- exact_split bisects it in rationals (fractions and math.isqrt only), so
+  it shares no float arithmetic with the solvers and returns the exact
+  split of the float-defined network, each current rounded to one float;
+- grid_bruteforce enumerates currents for networks of 1 to 3 branches. It
+  is the package's one use of numpy, which only the test extra installs.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 from .dispatch import _EDGE_RTOL, _MAX_ITER, _POWER_RTOL, DispatchResult, DispatchStatus
@@ -66,14 +72,7 @@ def lambda_bisection(
     # one float at its lower bound at both edges.
     p_min = sum(s.power(s.i_lb) for s in stacks)
     p_max = sum(s.power(s.i_ub_eff) for s in stacks)
-    if (
-        math.isnan(p_req)
-        or p_req < p_min - _EDGE_RTOL * max(1.0, abs(p_min))
-        or p_req > p_max + _EDGE_RTOL * max(1.0, abs(p_max))
-    ):
-        raise ValueError(
-            f"demand {p_req} W outside obtainable range [{p_min}, {p_max}] W"
-        )
+    _check_demand(p_req, p_min, p_max)
 
     for _ in range(_MAX_ITER):  # power at lo >= p_req >= power at hi
         mu = 0.5 * (lo + hi)
@@ -94,6 +93,248 @@ def lambda_bisection(
         total_power=total_power,
         method=OracleMethod.LAMBDA_BISECTION,
     )
+
+
+def _check_demand(p_req: float, p_min: float, p_max: float) -> None:
+    # The oracles' feasible demands: the window [p_min, p_max] widened by
+    # the _EDGE_RTOL slack that the table's window has.
+    if (
+        math.isnan(p_req)
+        or p_req < p_min - _EDGE_RTOL * max(1.0, abs(p_min))
+        or p_req > p_max + _EDGE_RTOL * max(1.0, abs(p_max))
+    ):
+        raise ValueError(
+            f"demand {p_req} W outside obtainable range [{p_min}, {p_max}] W"
+        )
+
+
+# The cap on exact_split's halvings. Far fewer resolve every current to one
+# float: about 60 in the paper's ranges, 387 for a b of -1e-100. Only an
+# exact current on a rounding boundary between two floats never resolves.
+_EXACT_MAX_HALVINGS = 4096
+# Bits of the first enclosure of a pinned power's irrational part; doubled
+# until the sign of P(mu) - p is certain.
+_EXACT_START_BITS = 64
+
+
+@dataclass(frozen=True)
+class ExactSplit:
+    """exact_split's answer: each current of the exact split rounded to the
+    nearest float, the float sum of those, the halvings taken and the final
+    rational level bracket. converged is False where the halving cap came
+    first; the currents are then those at the bracket's lower level, each
+    within its branch's enclosure."""
+
+    currents: tuple[float, ...]
+    total_current: float
+    halvings: int
+    bracket: tuple[Fraction, Fraction]
+    converged: bool
+
+
+def _pinned_power(a: Fraction, b: Fraction, i: Fraction) -> tuple[Fraction, Fraction | None]:
+    # a*i + b*i*sqrt(i) as its rational part and the square q = (b*i)**2*i
+    # of its irrational part -sqrt(q). A rational sqrt(i) makes the whole
+    # power rational, and q None: the exact-equality exit.
+    n, d = i.numerator, i.denominator
+    rn, rd = math.isqrt(n), math.isqrt(d)
+    if rn * rn == n and rd * rd == d:
+        return a * i + b * i * Fraction(rn, rd), None
+    return a * i, b * b * i * i * i
+
+
+def _enclose(q: Fraction, bits: int) -> tuple[int, int]:
+    # Integers lo, hi = lo + 1 with lo < -sqrt(q) * 2**bits <= hi.
+    s = math.isqrt((q.numerator << 2 * bits) // q.denominator)
+    return -s - 1, -s
+
+
+class _ExactBranch:
+    """One branch in rationals. With x = (mu - a)/(1.5*b), an interior
+    branch's current x**2 is inv*(a - mu)**2 with inv = 4/(9*b**2), and its
+    power x**2*(a + b*x) is that times (a + 2*mu)/3."""
+
+    __slots__ = ("a", "inv", "bounds")
+
+    def __init__(self, s: EquivalentStack):
+        a, b = Fraction(s.a_eq), Fraction(s.b_eq)
+        self.a, self.inv = a, 4 / (9 * b * b)
+        # Per bound: its float current, the (a - mu)**2 at which x**2
+        # reaches it, and its power as _pinned_power splits it.
+        self.bounds = tuple(
+            (i, Fraction(i) / self.inv, *_pinned_power(a, b, Fraction(i)))
+            for i in (s.i_lb, s.i_ub_eff)
+        )
+
+    def kind(self, mu: Fraction) -> int:
+        # inverse_marginal's order: 0 at the lower bound (x <= 0 or
+        # x**2 <= i_lb), then 2 at the upper (x**2 >= i_ub_eff), else 1.
+        d = self.a - mu
+        if d <= 0 or d * d <= self.bounds[0][1]:
+            return 0
+        return 2 if d * d >= self.bounds[1][1] else 1
+
+    def current(self, kind: int, mu: Fraction) -> float:
+        if kind == 1:
+            return float(self.inv * (self.a - mu) ** 2)  # correctly rounded
+        return self.bounds[kind // 2][0]
+
+
+class _ExactLevel:
+    """The sign of P(mu) - p over a shrinking level bracket [lo, hi].
+
+    P is nonincreasing in mu, and a branch's kind changes at most twice
+    along it, so a branch of one kind at both ends keeps it in between.
+    Those settled branches join running sums: interior powers as one cubic
+    c3*mu**3 + c2*mu**2 + c0, pinned powers as a rational part and
+    irrational parts enclosed at `bits`. Only the open branches, of
+    different kinds at the two ends, are classified at each level.
+    """
+
+    def __init__(self, branches: list[_ExactBranch], p: Fraction, lo: Fraction, hi: Fraction):
+        self.branches = branches
+        self.c3 = self.c2 = self.c0 = Fraction(0)
+        self.rational = -p
+        self.roots: list[Fraction] = []
+        self.bits, self.lo_sum, self.hi_sum = _EXACT_START_BITS, 0, 0
+        self.interior: list[_ExactBranch] = []
+        self.resolved = 0  # interior[:resolved] round to one float over the bracket
+        self.open: dict[int, list[int]] = {}  # branch -> its kinds at lo and hi
+        for j, br in enumerate(branches):
+            k_lo, k_hi = br.kind(lo), br.kind(hi)
+            if k_lo == k_hi:
+                self.settle(br, k_lo)
+            else:
+                self.open[j] = [k_lo, k_hi]
+
+    def settle(self, br: _ExactBranch, kind: int) -> None:
+        if kind == 1:
+            w = br.inv / 3  # power = w*(2*mu**3 - 3*a*mu**2 + a**3)
+            self.c3 += 2 * w
+            self.c2 -= 3 * br.a * w
+            self.c0 += br.a ** 3 * w
+            self.interior.append(br)
+            return
+        _, _, rational, q = br.bounds[kind // 2]
+        self.rational += rational
+        if q is not None:
+            self.roots.append(q)
+            lo, hi = _enclose(q, self.bits)
+            self.lo_sum, self.hi_sum = self.lo_sum + lo, self.hi_sum + hi
+
+    def sign(self, mu: Fraction) -> tuple[int, dict[int, int]]:
+        """The sign of P(mu) - p, and the open branches' kinds at mu."""
+        kinds = {j: self.branches[j].kind(mu) for j in self.open}
+        r = (self.c3 * mu + self.c2) * mu * mu + self.c0 + self.rational
+        roots = []
+        for j, kind in kinds.items():
+            br = self.branches[j]
+            if kind == 1:
+                r += br.inv * (br.a - mu) ** 2 * (br.a + 2 * mu) / 3
+            else:
+                _, _, rational, q = br.bounds[kind // 2]
+                r += rational
+                if q is not None:
+                    roots.append(q)
+        n, d = r.numerator, r.denominator
+        while True:
+            lo, hi = self.lo_sum, self.hi_sum
+            for q in roots:
+                q_lo, q_hi = _enclose(q, self.bits)
+                lo, hi = lo + q_lo, hi + q_hi
+            if (n << self.bits) + lo * d > 0:
+                return 1, kinds
+            if (n << self.bits) + hi * d < 0:
+                return -1, kinds
+            if lo == hi:  # no irrational part: r is exactly 0
+                return 0, kinds
+            # A sum of square roots of non-square rationals is irrational,
+            # so widening ends.
+            self.bits *= 2
+            ends = [_enclose(q, self.bits) for q in self.roots]
+            self.lo_sum, self.hi_sum = sum(e[0] for e in ends), sum(e[1] for e in ends)
+
+    def move(self, end: int, kinds: dict[int, int]) -> None:
+        """Move the bracket's lower (end 0) or upper end (1) to the level at
+        which sign found the open branches' kinds, settling those whose
+        kinds at the two ends now agree."""
+        for j, kind in kinds.items():
+            ends = self.open[j]
+            ends[end] = kind
+            if ends[0] == ends[1]:
+                del self.open[j]
+                self.settle(self.branches[j], kind)
+
+    def collapsed(self, lo: Fraction, hi: Fraction) -> bool:
+        """Whether every current's enclosure over [lo, hi] rounds to one float."""
+        for j, (k_lo, k_hi) in self.open.items():
+            br = self.branches[j]
+            if br.current(k_lo, lo) != br.current(k_hi, hi):
+                return False
+        # The bracket only shrinks, so a resolved branch stays resolved.
+        while self.resolved < len(self.interior):
+            br = self.interior[self.resolved]
+            if br.current(1, lo) != br.current(1, hi):
+                return False
+            self.resolved += 1
+        return True
+
+
+def _exact_result(branches, lo: Fraction, hi: Fraction, halvings: int, converged: bool):
+    currents = tuple(br.current(br.kind(lo), lo) for br in branches)
+    return ExactSplit(currents, math.fsum(currents), halvings, (lo, hi), converged)
+
+
+def exact_split(network: Network | Sequence[EquivalentStack], p_req: float) -> ExactSplit:
+    """The exact minimum-current split of the float-defined network.
+
+    At a rational level mu, every branch's bound side, current and interior
+    power is an exact rational (see _ExactBranch); only a pinned power
+    a*i + b*i*sqrt(i) carries an irrational part, which math.isqrt encloses,
+    widening until the sign of P(mu) - p is certain. So the level is
+    bisected over [0, max a] in fractions.Fraction, with no float
+    arithmetic, and stops once every branch's current enclosure rounds to
+    one float (float of a Fraction is correctly rounded): each returned
+    current is then the exact current rounded to nearest. A level whose
+    power is exactly the demand ends the search at once. It reads only
+    the stacks' a_eq, b_eq, i_lb and i_ub_eff.
+
+    Demands are those of lambda_bisection: beyond the float window's
+    _EDGE_RTOL slack, NaN included, ValueError is raised. A demand within
+    the slack outside the exact window gets that edge's split: every
+    branch at i_lb, or every branch at level 0 (at i_ub_eff, or at its
+    exact power peak where the float i_ub_eff rounds above it). After
+    _EXACT_MAX_HALVINGS without converging, the result says so (see
+    ExactSplit). A branch whose i_ub_eff is infinite raises OverflowError.
+    """
+    stacks = as_equivalent_stacks(network)
+    # The model's power expression, so the window is lambda_bisection's.
+    p_min = sum(s.a_eq * s.i_lb + s.b_eq * s.i_lb * math.sqrt(s.i_lb) for s in stacks)
+    p_max = sum(s.a_eq * s.i_ub_eff + s.b_eq * s.i_ub_eff * math.sqrt(s.i_ub_eff) for s in stacks)
+    _check_demand(p_req, p_min, p_max)
+
+    branches = [_ExactBranch(s) for s in stacks]
+    lo, hi = Fraction(0), max(br.a for br in branches)
+    level = _ExactLevel(branches, Fraction(p_req), lo, hi)
+    # Every branch is at i_lb at max a, and at its most power at 0.
+    if level.sign(hi)[0] >= 0:
+        return _exact_result(branches, hi, hi, 0, True)
+    if level.sign(lo)[0] <= 0:
+        return _exact_result(branches, lo, lo, 0, True)
+
+    for halvings in range(1, _EXACT_MAX_HALVINGS + 1):  # P(lo) > p > P(hi)
+        mid = (lo + hi) / 2
+        s, kinds = level.sign(mid)
+        if s == 0:
+            return _exact_result(branches, mid, mid, halvings, True)
+        if s > 0:
+            lo = mid
+        else:
+            hi = mid
+        level.move(0 if s > 0 else 1, kinds)
+        if level.collapsed(lo, hi):
+            return _exact_result(branches, lo, hi, halvings, True)
+    return _exact_result(branches, lo, hi, _EXACT_MAX_HALVINGS, False)
 
 
 def _solve_last_branch(s: EquivalentStack, targets: np.ndarray) -> np.ndarray:
@@ -121,9 +362,13 @@ def grid_bruteforce(
     meets the demand and its optimality gap is bounded by the grid spacing. A
     grid point is feasible when its residual lies in the last branch's power
     range up to a 1e-9 relative slack; the residual is clipped to that range
-    before the solve. Raises ValueError when no grid point is feasible.
+    before the solve. Raises ValueError when no grid point is feasible, and
+    ImportError without numpy, which only the test extra installs.
     """
-    import numpy as np
+    try:
+        import numpy as np
+    except ImportError as err:
+        raise ImportError("grid_bruteforce needs numpy: install fcdispatch[test]") from err
 
     stacks = as_equivalent_stacks(network)
     n = len(stacks)
@@ -165,7 +410,7 @@ def grid_bruteforce(
 
 
 def compare(
-    result: DispatchResult, oracle: OracleResult, tol_current: float
+    result: DispatchResult, oracle: OracleResult | ExactSplit, tol_current: float
 ) -> ComparisonReport:
     """Report current deltas (dispatch minus oracle) against a tolerance."""
     if result.status is not DispatchStatus.OPTIMAL or result.currents is None:

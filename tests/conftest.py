@@ -84,6 +84,31 @@ OPEN_WINDOW_NETWORK = Network(
 )
 
 
+# Branch 1 has no upper bound, so it runs up to its power peak, where power is
+# flat in the level: a residual within the rounding floor of the power sum
+# can leave the level far from the one that meets the demand.
+FLAT_PEAK = Network(
+    branches=(
+        BranchSpec(
+            stacks=(SqrtStackParams(a=51.40777043448101, b=-0.5378216508565113),),
+            i_lb=466.7123398771834,
+            i_ub=4060.6771033659757,
+        ),
+        BranchSpec(
+            stacks=(SqrtStackParams(a=0.0004059366017442842, b=-5.440239612484829e-05),),
+            i_lb=5.739094974598655,
+            i_ub=math.inf,
+        ),
+    )
+)
+
+
+# One branch with a tiny |b|: its table is finite (levels 1.0 and 0.0), but a
+# 0.5 W demand needs the level 1 - 1.06e-100, which rounds to 1.0, and one
+# ulp below 1.0 already gives 5.5e167 W (ROADMAP item 4, cause (c)).
+TINY_B = Network(branches=(BranchSpec(stacks=(SqrtStackParams(a=1.0, b=-1e-100),), i_lb=0.0),))
+
+
 def make_random_network(rng: np.random.Generator, n_branches: int | None = None) -> Network:
     """Random concave network in the property-test parameter ranges."""
     n = int(n_branches) if n_branches is not None else int(rng.integers(2, 11))

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -232,6 +233,15 @@ def test_validate_passes_benchmark(capsys, bench3_config):
     assert code == 0
     assert "result: PASS" in out
     assert "ms" in err  # timings stay on stderr
+    # The bisection's lines and each branch's delta, then one line for the
+    # exact split.
+    lines = out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "demand", "dispatch total", "bisection total", "max branch delta",
+        "  branch 1", "  branch 2", "  branch 3", "exact total", "result",
+    ]
+    exact_line = r"exact total: 234\.319731 A \(max branch delta \d\.\d{3}e-\d\d A\)"
+    assert re.fullmatch(exact_line, lines[-2])
 
 
 @pytest.mark.parametrize("power", ["75000", "p_max(1-1e-9)"])
@@ -308,38 +318,28 @@ def test_validate_infeasible_exits_3(capsys, bench3_config):
 
 
 @pytest.mark.parametrize("power", ["5000", "7000.5", "9000"])
-def test_validate_skips_grid_without_a_feasible_point(capsys, tmp_path, power):
-    # The last branch has zero width: no point of the first branch's grid
-    # leaves it its one power within the grid's 1e-9 slack.
+def test_validate_passes_with_a_zero_width_last_branch(capsys, tmp_path, power):
+    # The last branch's power range is a single point, narrower than any
+    # grid's power steps; both oracles still solve every demand.
     a, b = BENCH3_ROWS[0][:2]
     path = tmp_path / "net.json"
     path.write_text(config_text([BENCH3_ROWS[1], (a, b, 50.0, 50.0)]))
     code, out, _ = run_cli(capsys, "validate", str(path), "--power", power)
     assert code == 0
-    assert "grid: skipped, no feasible grid point" in out
+    assert "exact total" in out
     assert "result: PASS" in out
-
-
-def test_validate_raises_other_grid_errors(monkeypatch, bench3_config):
-    # Only an infeasible grid is skipped; any other grid error is a fault.
-    def broken(*args):
-        raise ValueError("points_per_branch must be in [2, 400], got 1")
-
-    monkeypatch.setattr("fcdispatch.reference.grid_bruteforce", broken)
-    with pytest.raises(ValueError, match="points_per_branch"):
-        main(["validate", bench3_config, "--power", "8000"])
 
 
 @pytest.mark.parametrize("end, factor", [("p_min", 1 - 5e-13), ("p_max", 1 + 5e-13)])
 def test_validate_single_branch_at_window_edge(capsys, tmp_path, bench3_stacks, end, factor):
-    # Half the 1e-12 relative edge slack outside the window: dispatch and
-    # lambda_bisection accept the demand, and so does the grid.
+    # Half the 1e-12 relative edge slack outside the window: dispatch,
+    # lambda_bisection and exact_split accept the demand.
     path = tmp_path / "one.json"
     path.write_text(config_text(BENCH3_ROWS[:1]))
     power = getattr(build_table(bench3_stacks[:1]), end) * factor
     code, out, _ = run_cli(capsys, "validate", str(path), "--power", repr(power))
     assert code == 0
-    assert "grid total" in out
+    assert "exact total" in out
     assert "result: PASS" in out
 
 
@@ -435,12 +435,30 @@ def test_production_commands_load_only_production_modules(bench3_config, argv):
     }
 
 
-def test_validate_loads_the_oracles_and_passes(bench3_config):
-    done = run_child(MAIN_PROBE, "validate", bench3_config, "--power", "8000")
+@pytest.mark.parametrize("network, power", [("bench3", "8000"), ("bench30", "75000")])
+def test_validate_loads_the_oracles_and_passes(request, network, power):
+    config = request.getfixturevalue(f"{network}_config")
+    done = run_child(MAIN_PROBE, "validate", config, "--power", power)
     assert done.returncode == 0, done.stderr
     assert done.stdout.endswith("result: PASS\n")
-    # lambda_bisection, and on three branches the grid search with numpy.
-    assert {"fcdispatch.reference", "numpy"} <= set(done.stderr.splitlines()[-1].split())
+    # lambda_bisection and exact_split, and no numpy at any network size.
+    loaded = set(done.stderr.splitlines()[-1].split())
+    assert "fcdispatch.reference" in loaded and "numpy" not in loaded
+
+
+def test_grid_bruteforce_without_numpy_names_the_test_extra():
+    probe = """
+import sys
+sys.modules["numpy"] = None  # import numpy now raises ImportError
+from fcdispatch import grid_bruteforce
+try:
+    grid_bruteforce((), 8000.0, 200)
+except ImportError as err:
+    sys.exit(str(err))
+"""
+    done = run_child(probe)
+    assert done.returncode == 1
+    assert done.stderr == "grid_bruteforce needs numpy: install fcdispatch[test]\n"
 
 
 def test_package_names_resolve_to_their_defining_modules():
@@ -467,6 +485,13 @@ assert solve_segment_sqrt is sys.modules["fcdispatch.paper"].solve_segment_sqrt
 """
     done = run_child(probe)
     assert done.returncode == 0, done.stderr
+
+
+def test_an_unknown_package_name_raises_attribute_error():
+    import fcdispatch
+
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        fcdispatch.no_such_name
 
 
 @pytest.mark.parametrize(

@@ -30,6 +30,7 @@ from fcdispatch import (
 from conftest import (
     BENCH3_SNAPSHOTS,
     OPEN_WINDOW_NETWORK,
+    TINY_B,
     direct_power,
     make_random_network,
     power_range,
@@ -669,12 +670,6 @@ def test_verify_kkt_at_peak_demand(bench30_network, bench30_stacks):
     report = verify_kkt(result, bench30_network)
     assert report.chain_ok
     assert math.isinf(report.lambda_) or report.lambda_ > 1e9
-
-
-# One branch with a tiny |b|: its table is finite (levels 1.0 and 0.0), but a
-# 0.5 W demand needs the level 1 - 1.06e-100, which rounds to 1.0, and one
-# ulp below 1.0 already gives 5.5e167 W (ROADMAP item 4, cause (c)).
-TINY_B = Network(branches=(BranchSpec(stacks=(SqrtStackParams(a=1.0, b=-1e-100),), i_lb=0.0),))
 
 
 @pytest.mark.xfail(strict=True, raises=SegmentSolveError, reason="the demand's level rounds to 1.0")

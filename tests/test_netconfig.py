@@ -144,6 +144,18 @@ def test_serialize_infeasible_result(bench3_network):
     assert "currents" not in doc
 
 
+def test_serialize_rejects_values_that_json_has_no_token_for(bench3_network):
+    # A NaN demand's result holds p_req NaN; parse_network would reject the
+    # NaN and Infinity tokens too, so neither is written.
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        serialize_result(dispatch(bench3_network, math.nan))
+    branch = bench3_network.branches[0]
+    for bad in (dataclasses.replace(branch, i_lb=math.nan),
+                dataclasses.replace(branch, stacks=(SqrtStackParams(a=math.inf, b=-1.0),))):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            serialize_network(Network(branches=(bad,)))
+
+
 def test_serialize_result_field_order_is_stable(bench3_network):
     a = serialize_result(dispatch(bench3_network, 8000.0))
     b = serialize_result(dispatch(bench3_network, 8000.0))

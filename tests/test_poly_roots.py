@@ -35,6 +35,12 @@ def test_factored_cubic():
     assert roots_only(CubicCoefficients(1.0, 0.0, -1.0, 0.0)) == pytest.approx([-1.0, 0.0, 1.0])
 
 
+def test_zero_discriminant_gives_a_double_and_a_simple_root():
+    # x^3 - 3x + 2 = (x - 1)^2 (x + 2): the depressed cubic's discriminant
+    # is exactly 0.
+    assert real_roots(CubicCoefficients(1.0, 0.0, -3.0, 2.0)) == [(-2.0, 1), (1.0, 2)]
+
+
 def test_expanded_product_roots():
     # (x-1)(x-2)(x-3) = x^3 - 6x^2 + 11x - 6
     got = roots_only(CubicCoefficients(1.0, -6.0, 11.0, -6.0))

@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "records.py"
 
 
@@ -80,6 +82,26 @@ def test_records_of_the_small_corpus_diff_to_zero_and_count_a_change(tmp_path):
     change = abs(old - new) / max(1.0, abs(old))
     assert f"  total_current: 1  worst relative change {change:.3g}\n" in diff.stdout
     assert f"  {lines[-1].split(' ', 2)[1]}: 1\n" in diff.stdout
+    assert "exact_split" not in diff.stdout  # no currents record of bench3 or bench30 moved
+
+    # A bench3 result's first current moved by 1 A: each side's distance to
+    # the exact split at the record's p_req, in units of its largest current.
+    k = next(n for n, line in enumerate(lines) if line.startswith("bench3/demand")
+             and line.split(" ", 2)[1] == "currents" and not line.endswith(" None"))
+    key, _, value = lines[k].split(" ", 2)
+    currents = [float.fromhex(x) for x in value.strip("()").split(",")]
+    moved = "(" + ",".join(x.hex() for x in [currents[0] + 1.0, *currents[1:]]) + ")"
+    c = tmp_path / "c.txt"
+    c.write_text("\n".join(lines[:k] + [f"{key} currents {moved}"] + lines[k + 1 :]) + "\n")
+    diff = run_tool("--diff", a, c)
+    assert diff.returncode == 1
+    out = diff.stdout.splitlines()
+    assert out[-2] == "distance to exact_split, in units of max(1 A, largest exact current):"
+    match = re.fullmatch(rf"  {re.escape(key)}: A (\S+), B (\S+)", out[-1])
+    assert match, out[-1]
+    assert float(match[1]) <= 1e-12
+    # B's distance is printed to 3 digits.
+    assert float(match[2]) == pytest.approx(1.0 / max(1.0, *currents), rel=5e-3)
 
 
 def test_a_records_float_changes_are_scaled_by_its_largest_value(tmp_path):

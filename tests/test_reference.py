@@ -158,6 +158,20 @@ def test_compare_flags_mismatch(bench3_network):
     assert report.max_branch_delta == pytest.approx(0.01, rel=1e-9)
 
 
+def test_compare_rejects_a_branch_count_mismatch(bench3_network):
+    from fcdispatch import OracleResult
+
+    res = dispatch(bench3_network, 8000.0)
+    short = OracleResult(
+        currents=res.currents[:2],
+        total_current=sum(res.currents[:2]),
+        total_power=res.total_power,
+        method=OracleMethod.LAMBDA_BISECTION,
+    )
+    with pytest.raises(ValueError, match="different numbers of branches"):
+        compare(res, short, 1e-3)
+
+
 def test_compare_requires_optimal_result(bench3_network):
     bad = dispatch(bench3_network, 1.0)
     oracle = lambda_bisection(bench3_network, 8000.0)

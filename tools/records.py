@@ -30,7 +30,10 @@ the records that differ, or exist on one side only, per field, and for a
 field whose differing records hold equally many floats on both sides,
 the worst relative change |a - b| / max(1, max |a|), a from A, element for
 element, with the max over the record's finite elements: the scale of the
-acceptance gate's current tolerance and of reference.compare.
+acceptance gate's current tolerance and of reference.compare. For up to 20
+differing currents records of bench3 and bench30 it also prints each
+side's distance to reference.exact_split (of this checkout's src/) at the
+record's own p_req, in units of max(1 A, largest exact current).
 
 The corpus: bench3, bench30, make_random_network(default_rng(s), n) for
 s = 0..2 and n = 2..60, 300 make_wide_network(random.Random(11)) networks
@@ -68,6 +71,7 @@ N_ONE_SHOT = 3
 # (p_min, p_max).
 REPEATED_COLUMNS = ("powers", "feasible_range")
 CLI_NETWORKS = ("bench3", "bench30")
+N_EXACT = 20  # differing currents records that --diff measures against exact_split
 # JSON literals a corrupted config puts in place of a value, a stack or a
 # branch: wrong types, "inf" where it is not allowed and a misspelt "Inf",
 # tokens outside JSON, numbers beyond the float range, and numbers the
@@ -354,13 +358,14 @@ def relative_change(xs: list[float], ys: list[float]) -> float:
     return worst
 
 
-def diff(a_path: str, b_path: str) -> tuple[Counter, dict, int]:
+def diff(a_path: str, b_path: str) -> tuple[Counter, dict, int, list]:
     """Per field, the records that differ or exist on one side only, the
     worst relative change of those that hold as many floats on both sides,
-    and the number of records on either side."""
+    the number of records on either side, and exact_distances of the
+    differing currents records."""
     a, b = read_records(a_path), read_records(b_path)
     keys = a.keys() | b.keys()
-    counts, worst = Counter(), {}
+    counts, worst, currents = Counter(), {}, []
     for rec in keys:
         if a.get(rec) == b.get(rec):
             continue
@@ -368,7 +373,40 @@ def diff(a_path: str, b_path: str) -> tuple[Counter, dict, int]:
         xs, ys = floats(a.get(rec)), floats(b.get(rec))
         if xs is not None and ys is not None and len(xs) == len(ys):
             worst[rec[1]] = max(worst.get(rec[1], 0.0), relative_change(xs, ys))
-    return counts, worst, len(keys)
+        if rec[1] == "currents" and rec[0].split("/")[0] in CLI_NETWORKS:
+            currents.append(rec[0])
+    return counts, worst, len(keys), exact_distances(a, b, sorted(currents)[:N_EXACT])
+
+
+def exact_distances(a: dict, b: dict, keys: list[str]) -> list:
+    """(key, distance of A, distance of B) per currents record key: the
+    largest |current - exact current| over max(1, largest exact current),
+    with exact_split at the record's p_req on the network that
+    tests/conftest.py builds. A side without as many currents, or a demand
+    with no exact split, gives None."""
+    if not keys:
+        return []
+    sys.path[:0] = [str(TESTS.parent / "src"), str(TESTS)]
+    from conftest import build_bench3_network, build_bench30_network
+    from fcdispatch import exact_split
+
+    networks = {"bench3": build_bench3_network(), "bench30": build_bench30_network()}
+    out = []
+    for key in keys:
+        p_req = floats(a.get((key, "p_req")) or b.get((key, "p_req"))) or [math.nan]
+        try:
+            exact = exact_split(networks[key.split("/")[0]], p_req[0]).currents
+        except ValueError:  # an infeasible or NaN demand
+            out.append((key, None, None))
+            continue
+        scale = max(1.0, *exact)
+        sides = [floats(side.get((key, "currents"))) for side in (a, b)]
+        out.append((key, *(
+            max(abs(x - e) for x, e in zip(xs, exact)) / scale
+            if xs is not None and len(xs) == len(exact) else None
+            for xs in sides
+        )))
+    return out
 
 
 def main(argv=None) -> int:
@@ -379,11 +417,16 @@ def main(argv=None) -> int:
     ap.add_argument("--diff", nargs=2, metavar=("A", "B"), help="compare two record files")
     args = ap.parse_args(argv)
     if args.diff:
-        counts, worst, total = diff(*args.diff)
+        counts, worst, total, distances = diff(*args.diff)
         print(f"{sum(counts.values())} of {total} records differ")
         for f, c in sorted(counts.items()):
             change = f"  worst relative change {worst[f]:.3g}" if f in worst else ""
             print(f"  {f}: {c}{change}")
+        if distances:
+            print("distance to exact_split, in units of max(1 A, largest exact current):")
+        for key, *sides in distances:
+            shown = ["-" if d is None else f"{d:.3g}" for d in sides]
+            print(f"  {key}: A {shown[0]}, B {shown[1]}")
         return 1 if counts else 0
     if args.out is None:
         ap.error("give OUT or --diff A B")
