@@ -18,6 +18,10 @@ those of the methods bit for bit. Online, a demand is bracketed between two
 consecutive breakpoints by bisecting those powers and confirming the few
 within _EDGE_RTOL of it by their direct sums; a demand equal to a
 breakpoint's direct power gets the zero-width window at that point's level.
+A table pays off over many demands; a one-shot dispatch() has one, so
+inside a magnitude box (_in_box) its sweep ends at the last point the
+bracket search reads, and it raises where build_table does (see dispatch).
+build_table itself always sweeps every level.
 _split alone builds a window's one record (_Window): its active sets, found
 by bisecting the level-ordered indices, the pinned currents and power, for
 an open window the interior's lines and the sweep's cubic, and for a
@@ -362,15 +366,23 @@ def build_table(stacks: Sequence[EquivalentStack]) -> DispatchTable:
     path. A network whose levels or powers leave the float range raises
     NetworkValidationError.
     """
+    return _build(stacks, None)
+
+
+def _build(stacks: Sequence[EquivalentStack], p_req: float | None) -> DispatchTable:
+    # build_table's body. Given a demand, as dispatch() gives its one, the
+    # sweep may end early: see the stop below.
     stacks = tuple(stacks)
     n = len(stacks)
     if not n:
         raise NetworkValidationError("network has no branches")
-    i_lb, i_ub, p_lb, p_ub, lb_level, ub_level = [], [], [], [], [], []
+    a_eq, b_eq, i_lb, i_ub, p_lb, p_ub, lb_level, ub_level = [], [], [], [], [], [], [], []
     try:
         for s in stacks:
             a, b, lo, hi = s.a_eq, s.b_eq, s.i_lb, s.i_ub_eff
             b15, r_lo, r_hi = 1.5 * b, math.sqrt(lo), math.sqrt(hi)
+            a_eq.append(a)
+            b_eq.append(b)
             i_lb.append(lo)
             i_ub.append(hi)
             lb_level.append(a + b15 * r_lo)
@@ -403,6 +415,21 @@ def build_table(stacks: Sequence[EquivalentStack]) -> DispatchTable:
         p_min - _EDGE_RTOL * max(1.0, abs(p_min)), p_max + _EDGE_RTOL * max(1.0, abs(p_max)),
         powers, (p_min, p_max),
     )
+
+    # The stop. Given a demand, and every branch inside _in_box's box, the
+    # sweep ends right after it appends the first point whose stored power
+    # exceeds p_scan + slack: there _locate's scan over the stored powers
+    # stops. Every point, sums entry and line that _locate and _split then
+    # read comes from before the stop, made by the full sweep's float ops,
+    # so the result is the full table's bit for bit. An infeasible demand,
+    # NaN included, is settled before any point is read, so one point does.
+    # Outside the box the sweep runs to the end, and raises where it raises.
+    top = math.inf
+    if p_req is not None and _in_box(a_eq, b_eq, levels, i_lb, i_ub):
+        top = -math.inf
+        if p_req >= columns.p_low and not p_req > columns.p_high:
+            p_scan, slack = _scan(columns, p_req)
+            top = p_scan + slack
 
     pinned = p_min
     c3 = c2 = c1 = c0 = 0.0  # interior power as a cubic in mu
@@ -450,7 +477,7 @@ def build_table(stacks: Sequence[EquivalentStack]) -> DispatchTable:
                 # Its line, kept as (j, u, a, 1.5*b, b) for _solve_level,
                 # and the terms of its power P = (a + b*x)*x*x, with
                 # x = sqrt(I) = u*mu + v, as a cubic in the level mu.
-                a, b = stacks[j].a_eq, stacks[j].b_eq
+                a, b = a_eq[j], b_eq[j]
                 b15 = 1.5 * b
                 u = 1.0 / b15
                 v = -a * u
@@ -468,14 +495,52 @@ def build_table(stacks: Sequence[EquivalentStack]) -> DispatchTable:
         sums += c3, c2, c1, c0
         # tuple.__new__ skips the NamedTuple's generated __new__ frame.
         points.append(tuple.__new__(ObservablePoint, (mu, j, _KINDS[upper], power)))
+        if power > top:
+            break
     if not all(map(math.isfinite, powers)):
         # Name the first branch with a level, bound power or cubic term of its
         # own beyond the float range; with none, sums of finite values overflowed.
         own = zip(lb_level, ub_level, p_lb, p_ub, cubic)
         bad = (j for j, (*v, t) in enumerate(own) if not all(map(math.isfinite, v + list(t or ()))))
         raise _beyond_float_range(next(bad, None))
+    # After a stop, the points not swept stand in as inf, so _locate's
+    # bisection probes the stored powers the full table's does: the swept
+    # ones, and beyond them values at or above p_scan - slack, as every
+    # later stored power is (on the premise of _locate's bracket).
+    powers += [math.inf] * (2 * n - len(powers))
     return DispatchTable(
         stacks=stacks, points=tuple(points), p_min=p_min, p_max=p_max, _columns=columns
+    )
+
+
+def _in_box(a: list, b: list, levels: list, i_lb: list, i_ub: list) -> bool:
+    # Whether every a_eq lies in [0, 1e50] and every b_eq is at most -1e-50,
+    # with the b_eq summing to at least -1e25 and the bound currents to at
+    # most 1e50. Each test is a sum, a min or a max in C. A level is
+    # a + 1.5*b*sqrt(I), so an inf or NaN in a, b or a bound current makes
+    # a level, and so their sum, not finite; past that test min and max
+    # compare finite values only. The bound pass has raised for a negative
+    # current, so the currents' sum bounds each of them, and with every b
+    # negative -sum(b) bounds each |b|.
+    #
+    # Inside this box no value of the full sweep leaves the float range, so
+    # the sweep cannot raise, and a sweep that stops early raises exactly
+    # where build_table does: nowhere. Per branch, r = sqrt(I) <= 1e25, so
+    # |1.5*b*r| <= 1.5e50, every level lies in [-1.5e50, 1e50], and a bound
+    # power a*I + (b*I)*r is at most 2e100. In the sweep,
+    # |u| = 1/|1.5*b| <= 6.7e49, so u**3 <= 3e149, t3 = b*u**3 <= 3e99 and
+    # |v| = a*|u| <= 6.7e99; 3*b*v is one product, about -2a, so
+    # |t2| <= u*u*3e50 <= 1.4e150, |t1| <= |u*v|*4e50 <= 1.8e200 and
+    # |t0| <= v*v*1.7e50 <= 7.5e249. Each branch enters the running sums
+    # twice at most, so with |mu| <= 1.5e50 the pinned power plus a Horner
+    # value of c (or of h) is at most N * 2e251. A direct sum at a level in
+    # the box has |x| = |mu - a|/|1.5*b| <= 1.7e100 and |b|*|x| <= 1.7e50,
+    # so each power a*I + (b*I)*sqrt(I) is at most 2.8e250 + 4.9e250. All
+    # stay finite for any N below 1e56.
+    return (
+        math.isfinite(sum(levels))
+        and 0.0 <= min(a) and max(a) <= 1e50 and max(b) <= -1e-50 and -sum(b) <= 1e25
+        and sum(i_lb) + sum(i_ub) <= 1e50
     )
 
 
@@ -532,15 +597,7 @@ def _locate(
     if p_req > cols.p_high:
         return DispatchStatus.INFEASIBLE_HIGH, None
 
-    # min(max(p_req, p_min), p_max) and max(1.0, |p_scan|), without the calls.
-    p_min, p_max = cols.feasible_range
-    p_scan = p_req
-    if p_min > p_scan:
-        p_scan = p_min
-    if p_max < p_scan:
-        p_scan = p_max
-    scale = abs(p_scan)
-    slack = _EDGE_RTOL * (scale if scale > 1.0 else 1.0)
+    p_scan, slack = _scan(cols, p_req)
     points, powers, top = table.points, cols.powers, p_scan + slack
     n = bisect_left(powers, p_scan - slack)
     hit = False
@@ -561,6 +618,21 @@ def _locate(
         mu_high, mu_low,
     )
     return sets, window
+
+
+def _scan(cols: _Columns, p_req: float) -> tuple[float, float]:
+    # For a feasible demand, the power _locate scans for, the demand clamped
+    # to [p_min, p_max], and its slack, _EDGE_RTOL * max(1.0, |p_scan|):
+    # stored powers below p_scan - slack and above p_scan + slack are
+    # settled without a direct sum. Both without the calls to min and max.
+    p_min, p_max = cols.feasible_range
+    p_scan = p_req
+    if p_min > p_scan:
+        p_scan = p_min
+    if p_max < p_scan:
+        p_scan = p_max
+    scale = abs(p_scan)
+    return p_scan, _EDGE_RTOL * (scale if scale > 1.0 else 1.0)
 
 
 def _solve_level(window: _Window, p_req_eff: float) -> tuple[float, int, tuple]:
@@ -666,10 +738,22 @@ def dispatch_table(table: DispatchTable, p_req: float) -> DispatchResult:
 
 
 def dispatch(network: Network | Sequence[EquivalentStack], p_req: float) -> DispatchResult:
-    """Validate and reduce (in one pass), build the table, and solve one demand."""
+    """Validate and reduce (in one pass), build the table, and solve one demand.
+
+    The result is dispatch_table(build_table(stacks), p_req)'s bit for bit,
+    but the table is built only as far as p_req needs. When every branch has
+    0 <= a_eq <= 1e50 and b_eq <= -1e-50, the b_eq sum to at least -1e25
+    and the bound currents to at most 1e50, the sweep ends right after
+    the first point whose stored power exceeds the demand, clamped to the
+    window, plus its _EDGE_RTOL slack: the last point the bracket search
+    reads (for an infeasible or NaN demand, the first). Inside that box no
+    value of the full sweep leaves the float range, so it could not have
+    raised; outside it the sweep runs to the end. So dispatch() raises
+    build_table's NetworkValidationError exactly where build_table does.
+    """
     if isinstance(network, Network):
         network = reduce_network(network)
-    return dispatch_table(build_table(network), p_req)
+    return dispatch_table(_build(network, p_req), p_req)
 
 
 def _level_ratio(m: float, mu: float) -> float:

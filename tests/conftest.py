@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -109,6 +110,13 @@ FLAT_PEAK = Network(
 TINY_B = Network(branches=(BranchSpec(stacks=(SqrtStackParams(a=1.0, b=-1e-100),), i_lb=0.0),))
 
 
+# (a, b, i_lb, i_ub) rows of single-stack branches. Branch 1's power as a
+# cubic in the level overflows a float (|b| = 1e-150), but its bound levels,
+# 1.0 and about 0.0, lie below both of branch 0's, 40 and 10: a demand in
+# branch 0's range, [0, 8000] W, has its window above them.
+OVERFLOW_BELOW_WINDOW_ROWS = [(40.0, -1.0, 0.0, 400.0), (1.0, -1e-150, 0.0, 1e300)]
+
+
 def make_random_network(rng: np.random.Generator, n_branches: int | None = None) -> Network:
     """Random concave network in the property-test parameter ranges."""
     n = int(n_branches) if n_branches is not None else int(rng.integers(2, 11))
@@ -179,6 +187,33 @@ def direct_power(table, mu: float) -> float:
     """Network power at level mu from the model's methods, summed branch by
     branch in index order; it does not read the table's columns."""
     return sum(s.power(s.inverse_marginal(mu)) for s in table.stacks)
+
+
+def result_bits(result) -> tuple:
+    """A DispatchResult's fields for comparison bit for bit: floats as
+    float.hex (NaN equal to NaN, 0.0 unequal to -0.0), the sets' frozensets
+    sorted."""
+
+    def bits(v):
+        if isinstance(v, float):
+            return v.hex()
+        if isinstance(v, frozenset):
+            return tuple(sorted(v))
+        if isinstance(v, tuple):
+            return tuple(map(bits, v))
+        if dataclasses.is_dataclass(v):
+            return tuple(bits(getattr(v, f.name)) for f in dataclasses.fields(v))
+        return v
+
+    return bits(result)
+
+
+def outcome(call) -> tuple:
+    """call()'s result as result_bits, or its exception's type name and message."""
+    try:
+        return result_bits(call())
+    except Exception as err:  # a raise is an outcome, compared like any other
+        return type(err).__name__, str(err)
 
 
 @pytest.fixture()

@@ -10,7 +10,7 @@ import pytest
 from fcdispatch import build_table, dispatch
 from fcdispatch.cli import main
 
-from conftest import BENCH3_ROWS, BENCH3_SNAPSHOTS, config_text
+from conftest import BENCH3_ROWS, BENCH3_SNAPSHOTS, OVERFLOW_BELOW_WINDOW_ROWS, config_text
 
 
 @pytest.fixture()
@@ -539,6 +539,19 @@ def test_branch_beyond_the_float_range_exits_2(capsys, tmp_path, row, argv):
     assert code == 2
     assert out == ""
     assert err == "config error: branches[0]: power or marginal level beyond the float range\n"
+
+
+@pytest.mark.parametrize("argv", [("plan",), ("solve", "--power", "4000")], ids=["plan", "solve"])
+def test_a_branch_beyond_the_float_range_below_the_window_exits_2(capsys, tmp_path, argv):
+    # The overflowing branch's levels lie below the 4000 W demand's window,
+    # where a one-shot solve may end its sweep; its |b| = 1e-150 is outside
+    # the box in which it may, so solve still refuses the config as plan does.
+    path = tmp_path / "huge_below.json"
+    path.write_text(config_text(OVERFLOW_BELOW_WINDOW_ROWS))
+    code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err == "config error: branches[1]: power or marginal level beyond the float range\n"
 
 
 @pytest.mark.parametrize(

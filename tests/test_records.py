@@ -44,6 +44,11 @@ def test_records_of_the_small_corpus_diff_to_zero_and_count_a_change(tmp_path):
     assert {key.split("/")[0] for key, _ in ascending} == {key.split("/")[0] for key, _ in values}
     assert sorted(ascending) == sorted((key.replace("/demand", "/ascending"), f) for key, f in shuffled)
     assert all(values[key.replace("/ascending", "/demand"), f] == values[key, f] for key, f in ascending)
+    # So does the one-shot route, which may end its sweep just after the
+    # demand's window.
+    one_shot = [(key, f) for key, f in values if "/oneshot" in key]
+    assert sorted(one_shot) == sorted((key.replace("/demand", "/oneshot"), f) for key, f in shuffled)
+    assert all(values[key.replace("/oneshot", "/demand"), f] == values[key, f] for key, f in one_shot)
     # Every network's demands reach both infeasible statuses and a NaN.
     networks = {key.split("/")[0] for key, _ in values}
     for field, value in (("status", "infeasible_low"), ("status", "infeasible_high"), ("p_req", "nan")):

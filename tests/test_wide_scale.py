@@ -15,7 +15,9 @@ window edges.
 
 A second property draws coefficients up to the float range's edges and
 checks only that build_table either rejects the network or returns a table
-whose levels and powers are all finite.
+whose levels and powers are all finite. A third checks, on the same draws,
+that a one-shot dispatch() raises exactly where build_table does, although
+it may end its sweep early.
 """
 
 import math
@@ -30,12 +32,15 @@ from fcdispatch import (
     NetworkValidationError,
     SqrtStackParams,
     build_table,
+    dispatch,
     dispatch_table,
     effective_upper_bound,
     lambda_bisection,
     reduce_network,
     verify_kkt,
 )
+
+from conftest import OVERFLOW_BELOW_WINDOW_ROWS, outcome
 
 # Unit values come from drawn bytes, not st.floats(0.0, 1.0): Hypothesis mixes
 # the float literals of every loaded non-test module into float draws, so adding
@@ -185,3 +190,33 @@ def test_extreme_coefficients_raise_or_build_a_finite_table(branches):
     values = [table.p_min, table.p_max]
     values += [v for pt in table.points for v in (pt.mu, pt.cumulative_power)]
     assert all(map(math.isfinite, values))
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=500,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(branches=st.lists(extreme_branch(), min_size=1, max_size=4).map(tuple))
+@example(branches=tuple(_one_stack(*row)[0] for row in OVERFLOW_BELOW_WINDOW_ROWS))
+def test_one_shot_raises_where_build_table_raises(branches):
+    # dispatch() ends its sweep early only where no value of the full sweep
+    # can leave the float range, so at p_min, the midpoint and p_max it
+    # raises build_table's NetworkValidationError, message and all, if and
+    # only if build_table raises, and otherwise returns its table's result.
+    # The example's only overflowing branch has its levels below the
+    # window of every demand from 0 to 8000 W, the low end among them.
+    stacks = reduce_network(Network(branches=branches))
+    try:
+        table = build_table(stacks)
+    except NetworkValidationError as err:
+        refusal = ("NetworkValidationError", str(err))
+        lo = sum(s.power(s.i_lb) for s in stacks)
+        hi = sum(s.power(s.i_ub_eff) for s in stacks)
+        for p in (lo, 0.5 * (lo + hi), hi):
+            assert outcome(lambda: dispatch(stacks, p)) == refusal, p
+        return
+    for p in (table.p_min, 0.5 * (table.p_min + table.p_max), table.p_max):
+        assert outcome(lambda: dispatch(stacks, p)) == outcome(lambda: dispatch_table(table, p)), p

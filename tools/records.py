@@ -11,8 +11,11 @@ reduced stacks, the table's points, its private per-branch columns,
 p_min/p_max, and the results of a fixed list of demands: solved in a seeded
 order on one shared table, solved in ascending order on another kept table
 (so consecutive demands in one window, as a sweep makes them, reuse its
-record) and, for a few, by a one-shot dispatch(). The columns that repeat other records,
-the points' cumulative powers and (p_min, p_max), are left out. It also
+record) and by a one-shot dispatch(), which may end its table's sweep just
+after the demand's window: every demand for the networks of --small
+(bench3 and bench30 among them), and the first N_ONE_SHOT of the seeded
+order for the rest. The columns that repeat other records, the points'
+cumulative powers and (p_min, p_max), are left out. It also
 holds the network's config route: serialize_network, parse_network and
 reduce_network, with the parsed floats and the reduced stacks, and a
 seeded set of corrupted copies of its config text, each with one to three
@@ -154,7 +157,7 @@ def result_records(key: str, call):
             yield key, f"sets.{f}", fmt(getattr(res.sets, f))
 
 
-def network_records(name: str, network):
+def network_records(name: str, network, every_one_shot: bool):
     from fcdispatch import build_table, dispatch, dispatch_table, reduce_network
 
     try:
@@ -189,7 +192,7 @@ def network_records(name: str, network):
     # scramble the sort around it.
     for d in sorted(range(len(ps)), key=lambda d: (math.isnan(ps[d]), ps[d])):
         yield from result_records(f"{name}/ascending{d}", lambda: dispatch_table(ascending, ps[d]))
-    for d in order[:N_ONE_SHOT]:
+    for d in range(len(ps)) if every_one_shot else order[:N_ONE_SHOT]:
         yield from result_records(f"{name}/oneshot{d}", lambda: dispatch(network, ps[d]))
 
 
@@ -315,9 +318,10 @@ def cli_records(name: str, network):
 def write_records(out, small: bool) -> int:
     n = 0
     n_configs = 6 if small else 4
+    every_one_shot = {name for name, _ in corpus(True)}
     for name, network in corpus(small):
         for key, f, value in chain(
-            network_records(name, network),
+            network_records(name, network, name in every_one_shot),
             parse_records(name, network),
             config_records(name, network, n_configs),
             cli_records(name, network) if name in CLI_NETWORKS else (),
